@@ -10,12 +10,18 @@
    - the invocation tree (parent invocation and parent iteration index).
 
    WAR/WAW are never recorded: the study assumes lazy versioning with
-   in-order commit (paper §II-D). *)
+   in-order commit (paper §II-D).
+
+   The listener's cost follows the work it records. Writes cost one array
+   store; a read costs one array load plus a walk over the live invocations
+   that started after the word was last written. A predictor bank lives
+   only while its invocation does. *)
 
 type reg_track = {
   phi_id : int;
   cls : Classify.phi_class;
-  predictor : Predictors.Hybrid.t;
+  mutable predictor : Predictors.Hybrid.t option;
+      (* the bank predicting this LCD; released when the invocation exits *)
   (* def offset (relative to its iteration's start) of the value produced in
      the previous iteration; -1 when unknown *)
   mutable prev_def_rel : int;
@@ -35,6 +41,7 @@ type reg_track = {
 type inv = {
   inv_id : int;
   fname : string;
+  fid : int; (* [fname]'s index in the listener's function table *)
   lid : int;
   parent : int; (* inv_id of enclosing invocation, -1 at top level *)
   parent_iter : int;
@@ -46,8 +53,6 @@ type inv = {
      already-committed writes as satisfied (paper §III-B). *)
   mem_conflicts : (int, float * int) Hashtbl.t;
   tracks : reg_track array;
-  (* last writer per address within this invocation *)
-  last_write : (int, int * int) Hashtbl.t; (* addr -> (iter, clock) *)
   mutable call_mask : int;
   mutable n_mem_deps : int; (* count of cross-iteration RAW manifestations *)
   track_mem : bool;
@@ -72,24 +77,42 @@ let mask_pure_user = 8
 
 let mask_user = 16
 
+(* What the listener needs about a function, resolved once per run so the
+   per-event handlers never look anything up by name. *)
+type func_ctx = {
+  fid : int;
+  fs : Classify.func_static;
+  call_bit : int; (* call_mask bit of a call to this function *)
+  defs : int list array; (* watched def instr id -> the phis it produces *)
+  watched : Classify.phi_info array array; (* lid -> the phis tracks follow *)
+}
+
 type t = {
-  ms : Classify.module_static;
   invs : inv Ir.Vec.t;
   mutable stack : inv list; (* innermost first *)
-  mutable call_stack : string list;
-  def_maps : (string, (int, int list) Hashtbl.t) Hashtbl.t; (* fname -> def->phis *)
+  mutable frames : func_ctx list; (* call stack, innermost first *)
+  funcs : (string, func_ctx) Hashtbl.t;
   make_predictor : unit -> Predictors.Hybrid.t; (* predictor bank (ablation) *)
   static_prune : bool; (* honor Proven_doall verdicts when tracking memory *)
   phi_obs : (string * int, int64 * int64) Hashtbl.t;
       (* (fname, phi_id) -> (min, max) integer value observed at any header
          arrival; fed by on_header_phi, validated by Crosscheck.check_ranges
          against the proven static interval *)
+  (* Shadow memory for RAW detection: per guest word, the clock of its last
+     reported write, 0 if none. It only grows, to the highest address
+     written. A write past its end waits in [pending_*] until the next
+     access shows the machine did not trap on it, so a wild out-of-bounds
+     store never sizes the array. *)
+  mutable last_write : int array;
+  mutable pending_addr : int;
+  mutable pending_clock : int;
 }
 
 let dummy_inv =
   {
     inv_id = -1;
     fname = "";
+    fid = -1;
     lid = -1;
     parent = -1;
     parent_iter = 0;
@@ -98,7 +121,6 @@ let dummy_inv =
     iter_starts = Ir.Vec.create ~dummy:0;
     mem_conflicts = Hashtbl.create 1;
     tracks = [||];
-    last_write = Hashtbl.create 1;
     call_mask = 0;
     n_mem_deps = 0;
     track_mem = true;
@@ -106,25 +128,46 @@ let dummy_inv =
 
 let create ?(make_predictor = fun () -> Predictors.Hybrid.create ())
     ?(static_prune = true) (ms : Classify.module_static) ~def_maps : t =
+  let funcs = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun fname (fs : Classify.func_static) ->
+      let defs = Array.make (Ir.Func.num_instrs fs.Classify.fn) [] in
+      Option.iter
+        (Hashtbl.iter (fun id phis -> defs.(id) <- phis))
+        (Hashtbl.find_opt def_maps fname);
+      Hashtbl.replace funcs fname
+        {
+          fid = Hashtbl.length funcs;
+          fs;
+          call_bit = (if fs.Classify.pure then mask_pure_user else mask_user);
+          defs;
+          watched =
+            Array.map
+              (fun ls -> Array.of_list (Classify.watched_phis ls))
+              fs.Classify.loops;
+        })
+    ms.Classify.funcs;
   {
-    ms;
     invs = Ir.Vec.create ~dummy:dummy_inv;
     stack = [];
-    call_stack = [];
-    def_maps;
+    frames = [];
+    funcs;
     make_predictor;
     static_prune;
     phi_obs = Hashtbl.create 64;
+    last_write = [||];
+    pending_addr = -1;
+    pending_clock = 0;
   }
 
-let current_fname t =
-  match t.call_stack with f :: _ -> f | [] -> invalid_arg "no active function"
+let current_func t =
+  match t.frames with fc :: _ -> fc | [] -> invalid_arg "no active function"
 
 let new_track t (pi : Classify.phi_info) : reg_track =
   {
     phi_id = pi.Classify.phi_id;
     cls = pi.Classify.cls;
-    predictor = t.make_predictor ();
+    predictor = Some (t.make_predictor ());
     prev_def_rel = -1;
     cur_def_rel = -1;
     use_seen = false;
@@ -147,18 +190,25 @@ let c_invocations = Obs.Telemetry.counter "profile.loop.invocations"
 
 let h_loop_iters = Obs.Telemetry.histogram "profile.loop.iterations"
 
-let on_call_enter t ~fname ~clock:_ =
-  t.call_stack <- fname :: t.call_stack;
-  (* An instrumented user call observed inside every active iteration. *)
-  let fs = Classify.func_static t.ms fname in
-  let bit = if fs.Classify.pure then mask_pure_user else mask_user in
-  (match t.stack with
+(* A call of class [bit] observed inside every active iteration. *)
+let rec mark_calls bit = function
   | [] -> ()
-  | _ -> List.iter (fun inv -> inv.call_mask <- inv.call_mask lor bit) t.stack)
+  | inv :: rest ->
+      inv.call_mask <- inv.call_mask lor bit;
+      mark_calls bit rest
+
+let on_call_enter t ~fname ~clock:_ =
+  let fc =
+    match Hashtbl.find_opt t.funcs fname with
+    | Some fc -> fc
+    | None -> invalid_arg ("Profile: call to unknown function " ^ fname)
+  in
+  t.frames <- fc :: t.frames;
+  mark_calls fc.call_bit t.stack
 
 let on_call_exit t ~fname:_ ~clock:_ =
-  match t.call_stack with
-  | _ :: rest -> t.call_stack <- rest
+  match t.frames with
+  | _ :: rest -> t.frames <- rest
   | [] -> invalid_arg "call stack underflow"
 
 let on_builtin_call t ~name ~clock:_ =
@@ -171,12 +221,11 @@ let on_builtin_call t ~name ~clock:_ =
         | Ir.Builtins.Io | Ir.Builtins.Global_state -> mask_unsafe_builtin)
     | None -> mask_unsafe_builtin
   in
-  List.iter (fun inv -> inv.call_mask <- inv.call_mask lor bit) t.stack
+  mark_calls bit t.stack
 
 let on_loop_enter t ~lid ~clock =
-  let fname = current_fname t in
-  let fs = Classify.func_static t.ms fname in
-  let ls = fs.Classify.loops.(lid) in
+  let fc = current_func t in
+  let ls = fc.fs.Classify.loops.(lid) in
   let parent, parent_iter =
     match t.stack with
     | p :: _ -> (p.inv_id, cur_iter p)
@@ -192,7 +241,8 @@ let on_loop_enter t ~lid ~clock =
   let inv =
     {
       inv_id = Ir.Vec.length t.invs;
-      fname;
+      fname = fc.fs.Classify.fname;
+      fid = fc.fid;
       lid;
       parent;
       parent_iter;
@@ -200,8 +250,7 @@ let on_loop_enter t ~lid ~clock =
       end_clock = clock;
       iter_starts = Ir.Vec.create ~dummy:0;
       mem_conflicts = Hashtbl.create 8;
-      tracks = Array.of_list (List.map (new_track t) (Classify.watched_phis ls));
-      last_write = Hashtbl.create (if track_mem then 64 else 1);
+      tracks = Array.map (new_track t) fc.watched.(lid);
       call_mask = 0;
       n_mem_deps = 0;
       track_mem;
@@ -231,60 +280,106 @@ let on_loop_iter t ~lid ~clock =
       Ir.Vec.push inv.iter_starts clock
   | _ -> invalid_arg "loop_iter without matching invocation"
 
+(* Nothing reads a bank after its invocation ends, so a finished profile
+   holds only counts, deltas and mispredicted iterations. *)
 let on_loop_exit t ~lid ~clock =
   match t.stack with
   | inv :: rest when inv.lid = lid ->
       finish_iteration_tracks inv;
+      Array.iter (fun tr -> tr.predictor <- None) inv.tracks;
       inv.end_clock <- clock;
       Obs.Telemetry.observe h_loop_iters (float_of_int (n_iters inv));
       t.stack <- rest
   | _ -> invalid_arg "loop_exit without matching invocation"
 
-let on_mem_access t ~addr ~is_write ~clock =
-  List.iter
-    (fun inv ->
-      if inv.track_mem then
-      let k = cur_iter inv in
-      if is_write then Hashtbl.replace inv.last_write addr (k, clock)
-      else
-        match Hashtbl.find_opt inv.last_write addr with
-        | Some (wi, wclock) when wi < k ->
-            (* RAW loop-carried dependency manifests. The stall delta is the
-               raw producer/consumer offset difference, NOT normalized by the
-               iteration distance: the paper's HELIX model synchronizes every
-               neighbouring-iteration pair at the worst offset observed for
-               any manifesting LCD (§III-B), which is what lets PDOALL beat
-               HELIX on loops with rare, long-distance conflicts (Fig. 4). *)
-            inv.n_mem_deps <- inv.n_mem_deps + 1;
-            let prod_rel = wclock - iter_start inv wi in
-            let cons_rel = clock - iter_start inv k in
-            let delta = Float.max 0.0 (float_of_int (prod_rel - cons_rel)) in
-            let old_d, old_p =
-              Option.value ~default:(0.0, -1) (Hashtbl.find_opt inv.mem_conflicts k)
-            in
-            Hashtbl.replace inv.mem_conflicts k (Float.max old_d delta, max old_p wi)
-        | _ -> ())
-    t.stack
-
-(* Find the innermost active invocation owning watched phi [phi_id] of the
-   current function. *)
-let find_track t phi_id : (inv * reg_track) option =
-  let fname = current_fname t in
-  let rec go = function
-    | [] -> None
-    | inv :: rest ->
-        if inv.fname = fname then
-          match Array.find_opt (fun tr -> tr.phi_id = phi_id) inv.tracks with
-          | Some tr -> Some (inv, tr)
-          | None -> go rest
-        else go rest
+(* The iteration of [inv] that was running at clock [w]: the last one to
+   start before it. No write shares a clock with an iteration start (the
+   latch branch and the header each retire an instruction in between). *)
+let producer_iter inv w =
+  let rec go lo hi =
+    (* iter_start lo < w <= iter_start hi *)
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if iter_start inv mid < w then go mid hi else go lo mid
   in
-  go t.stack
+  go 0 (cur_iter inv)
+
+(* RAW loop-carried dependency manifests. The stall delta is the raw
+   producer/consumer offset difference, NOT normalized by the iteration
+   distance: the paper's HELIX model synchronizes every neighbouring-
+   iteration pair at the worst offset observed for any manifesting LCD
+   (§III-B), which is what lets PDOALL beat HELIX on loops with rare,
+   long-distance conflicts (Fig. 4). *)
+let record_conflict inv ~w ~clock =
+  let k = cur_iter inv in
+  let wi = producer_iter inv w in
+  inv.n_mem_deps <- inv.n_mem_deps + 1;
+  let prod_rel = w - iter_start inv wi in
+  let cons_rel = clock - iter_start inv k in
+  let delta = Float.max 0.0 (float_of_int (prod_rel - cons_rel)) in
+  let old_d, old_p =
+    Option.value ~default:(0.0, -1) (Hashtbl.find_opt inv.mem_conflicts k)
+  in
+  Hashtbl.replace inv.mem_conflicts k (Float.max old_d delta, max old_p wi)
+
+(* A read of a word last written at clock [w] conflicts in a tracking
+   invocation iff the write happened during the invocation but before its
+   current iteration: start_clock < w < iter_start (cur_iter). When
+   w > start_clock, [w] is also the last write reported while the
+   invocation was live, i.e. what a per-invocation last-writer table would
+   hold; otherwise that table would hold nothing for the word. Live
+   invocations nest in time, and an enclosing invocation's current
+   iteration began before any invocation inside it started. So only the
+   innermost invocation that started before [w] can conflict, and the walk
+   stops there. *)
+let rec check_read ~w ~clock = function
+  | [] -> ()
+  | inv :: rest ->
+      if inv.start_clock >= w then check_read ~w ~clock rest
+      else if inv.track_mem && w < iter_start inv (cur_iter inv) then
+        record_conflict inv ~w ~clock
+
+let grow_last_write t addr =
+  let old = t.last_write in
+  let a = Array.make (max (addr + 1) (2 * Array.length old)) 0 in
+  Array.blit old 0 a 0 (Array.length old);
+  t.last_write <- a
+
+let on_mem_access t ~addr ~is_write ~clock =
+  if t.pending_addr >= 0 then begin
+    grow_last_write t t.pending_addr;
+    t.last_write.(t.pending_addr) <- t.pending_clock;
+    t.pending_addr <- -1
+  end;
+  if addr > 0 && addr < Array.length t.last_write then begin
+    if is_write then t.last_write.(addr) <- clock
+    else
+      let w = t.last_write.(addr) in
+      if w > 0 then check_read ~w ~clock t.stack
+  end
+  else if is_write && addr > 0 then begin
+    t.pending_addr <- addr;
+    t.pending_clock <- clock
+  end
+
+let rec track_index tracks phi_id i =
+  if i = Array.length tracks then -1
+  else if tracks.(i).phi_id = phi_id then i
+  else track_index tracks phi_id (i + 1)
+
+(* The innermost live invocation of function [fid] watching phi [phi_id],
+   with its track. *)
+let rec find_track fid phi_id = function
+  | [] -> None
+  | (inv : inv) :: rest ->
+      let i = if inv.fid = fid then track_index inv.tracks phi_id 0 else -1 in
+      if i >= 0 then Some (inv, inv.tracks.(i)) else find_track fid phi_id rest
 
 (* Observed dynamic envelope per header phi. Floats are skipped: the range
    analysis proves nothing about them (their interval is top anyway). Bools
    use the interpreter's own 0/1 integer encoding. *)
-let record_phi_obs t ~phi_id ~value =
+let record_phi_obs t (fc : func_ctx) ~phi_id ~value =
   let recorded =
     match value with
     | Interp.Rvalue.Vint v -> Some v
@@ -294,18 +389,22 @@ let record_phi_obs t ~phi_id ~value =
   match recorded with
   | None -> ()
   | Some v -> (
-      let key = (current_fname t, phi_id) in
+      let key = (fc.fs.Classify.fname, phi_id) in
       match Hashtbl.find_opt t.phi_obs key with
       | None -> Hashtbl.replace t.phi_obs key (v, v)
       | Some (lo, hi) ->
           if v < lo || v > hi then Hashtbl.replace t.phi_obs key (min v lo, max v hi))
 
 let on_header_phi t ~phi_id ~value ~clock:_ =
-  record_phi_obs t ~phi_id ~value;
-  match find_track t phi_id with
+  let fc = current_func t in
+  record_phi_obs t fc ~phi_id ~value;
+  match find_track fc.fid phi_id t.stack with
   | Some (inv, tr) ->
       let k = cur_iter inv in
-      let hit = Predictors.Hybrid.step tr.predictor (Predictors.Hybrid.bits_of_rv value) in
+      let hit =
+        Predictors.Hybrid.step (Option.get tr.predictor)
+          (Predictors.Hybrid.bits_of_rv value)
+      in
       if k > 0 then begin
         tr.n_instances <- tr.n_instances + 1;
         if not hit then begin
@@ -317,25 +416,20 @@ let on_header_phi t ~phi_id ~value ~clock:_ =
       end
   | None -> ()
 
+let rec time_defs stack fid ~clock = function
+  | [] -> ()
+  | phi_id :: rest ->
+      (match find_track fid phi_id stack with
+      | Some (inv, tr) -> tr.cur_def_rel <- clock - iter_start inv (cur_iter inv)
+      | None -> ());
+      time_defs stack fid ~clock rest
+
 let on_watched_def t ~instr_id ~clock =
-  let fname = current_fname t in
-  match Hashtbl.find_opt t.def_maps fname with
-  | None -> ()
-  | Some map -> (
-      match Hashtbl.find_opt map instr_id with
-      | None -> ()
-      | Some phis ->
-          List.iter
-            (fun phi_id ->
-              match find_track t phi_id with
-              | Some (inv, tr) ->
-                  let k = cur_iter inv in
-                  tr.cur_def_rel <- clock - iter_start inv k
-              | None -> ())
-            phis)
+  let fc = current_func t in
+  time_defs t.stack fc.fid ~clock fc.defs.(instr_id)
 
 let on_watched_use t ~phi_id ~clock =
-  match find_track t phi_id with
+  match find_track (current_func t).fid phi_id t.stack with
   | Some (inv, tr) when not tr.use_seen ->
       tr.use_seen <- true;
       let k = cur_iter inv in

@@ -102,6 +102,80 @@ let prop_perfect_stream_no_misses =
       let misses = List.length (List.filter not (Predictors.Hybrid.hits h stream)) in
       misses <= 2)
 
+(* Reference FCM over a dense table of 2^table_bits slots, the definition
+   the sparse table must reproduce entry for entry, collisions included. *)
+let dense_fcm ~order ~table_bits : Predictors.Predictor.t =
+  let table_size = 1 lsl table_bits in
+  let table : int64 option array = Array.make table_size None in
+  let history = ref [] in
+  let hash_history () =
+    if List.length !history < order then None
+    else
+      Some
+        (List.fold_left
+           (fun acc v ->
+             let h =
+               Int64.to_int
+                 (Int64.logand
+                    (Int64.mul (Int64.logxor v (Int64.of_int acc)) 0x9E3779B97F4A7C15L)
+                    Int64.max_int)
+             in
+             h land (table_size - 1))
+           5381 !history)
+  in
+  {
+    Predictors.Predictor.name = "dense-fcm";
+    predict = (fun () -> Option.bind (hash_history ()) (fun h -> table.(h)));
+    train =
+      (fun v ->
+        Option.iter (fun h -> table.(h) <- Some v) (hash_history ());
+        history := List.filteri (fun i _ -> i < order) (v :: !history));
+    reset =
+      (fun () ->
+        Array.fill table 0 table_size None;
+        history := []);
+  }
+
+(* Property: at table_bits 2 (four slots, so contexts collide constantly)
+   the sparse FCM predicts exactly what the dense reference predicts, over
+   random streams with resets interleaved. [None] in the stream is a
+   reset. *)
+let prop_fcm_matches_dense =
+  QCheck.Test.make ~name:"sparse fcm = dense fcm (table_bits 2)" ~count:300
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size (Gen.int_range 0 80) (option ~ratio:0.95 (int_bound 6))))
+    (fun (order, stream) ->
+      let sparse = Predictors.Fcm.create ~order ~table_bits:2 () in
+      let dense = dense_fcm ~order ~table_bits:2 in
+      List.for_all
+        (function
+          | None ->
+              sparse.Predictors.Predictor.reset ();
+              dense.Predictors.Predictor.reset ();
+              true
+          | Some x ->
+              let v = Int64.of_int x in
+              let same =
+                Option.equal Int64.equal
+                  (sparse.Predictors.Predictor.predict ())
+                  (dense.Predictors.Predictor.predict ())
+              in
+              sparse.Predictors.Predictor.train v;
+              dense.Predictors.Predictor.train v;
+              same)
+        stream)
+
+(* The per-component telemetry counters are interned once per component
+   name: creating another bank registers nothing new. *)
+let test_hybrid_counters_interned () =
+  ignore (Predictors.Hybrid.create ());
+  let before = Obs.Telemetry.counters () in
+  ignore (Predictors.Hybrid.create ());
+  Alcotest.(check (list string)) "no new counter"
+    (List.map fst before)
+    (List.map fst (Obs.Telemetry.counters ()))
+
 let test_bits_of_rv () =
   Alcotest.(check int64) "int bits" 5L (Predictors.Hybrid.bits_of_rv (Interp.Rvalue.Vint 5L));
   Alcotest.(check int64) "bool bits" 1L
@@ -120,6 +194,7 @@ let () =
           Alcotest.test_case "fcm periodic" `Quick test_fcm_periodic;
           Alcotest.test_case "reset" `Quick test_predictor_reset;
           Alcotest.test_case "accuracy" `Quick test_accuracy;
+          QCheck_alcotest.to_alcotest prop_fcm_matches_dense;
         ] );
       ( "hybrid",
         [
@@ -127,5 +202,7 @@ let () =
           Alcotest.test_case "bits_of_rv" `Quick test_bits_of_rv;
           QCheck_alcotest.to_alcotest prop_hybrid_dominates;
           QCheck_alcotest.to_alcotest prop_perfect_stream_no_misses;
+          Alcotest.test_case "counters interned once" `Quick
+            test_hybrid_counters_interned;
         ] );
     ]
