@@ -40,16 +40,16 @@ let digest_of_profile (p : Loopa.Profile.profile) : string =
   |> List.iter (fun ((fname, phi), (lo, hi)) -> add "phi %s %d %Ld %Ld\n" fname phi lo hi);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* [(program, [(static_prune, digest)])] in registry order. *)
-let compute () : (string * (bool * string) list) list =
+(* [(program, [(static_prune, f profile)])] in registry order. Each profile
+   is dropped once [f] has seen it. *)
+let map_profiles (f : Loopa.Profile.profile -> 'a) : (string * (bool * 'a) list) list =
   List.map
     (fun (bm : Suites.Suite.benchmark) ->
       let ms = Loopa.Driver.prepare (Frontend.compile_exn bm.Suites.Suite.source) in
       ( bm.Suites.Suite.name,
         List.map
           (fun static_prune ->
-            ( static_prune,
-              digest_of_profile (Loopa.Driver.profile_module ~fuel ~static_prune ms) ))
+            (static_prune, f (Loopa.Driver.profile_module ~fuel ~static_prune ms)))
           [ true; false ] ))
     (Suites.Suite.all ())
 

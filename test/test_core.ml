@@ -323,25 +323,40 @@ fn main() -> int {
       Alcotest.(check string) "failure class" "trap:out_of_bounds"
         (Loopa.Driver.fingerprint_class f.Loopa.Driver.fingerprint)
 
-(* Every registered program's profile, with and without static pruning,
-   must match the committed digests bit for bit. On a mismatch the fresh
-   digests are written next to the test binary, ready to review and copy
-   over the golden when a change is meant to alter what is recorded. *)
-let test_profile_digests () =
-  let golden_path = "golden/profile_digests.json" in
+(* One pass over the 5M-fuel profiles (every registered program, with and
+   without static pruning) feeds two goldens: the digest of each profile and
+   the digest of every report [Evaluate] makes from it. *)
+let digests =
+  lazy
+    (Profile_digest.map_profiles (fun p ->
+         (Profile_digest.digest_of_profile p, Evaluate_digest.digest_of_reports p)))
+
+(* The digests [pick] selects must match [golden/<name>.json] bit for bit. On
+   a mismatch the fresh digests are written next to the test binary, ready to
+   review and copy over the golden when a change is meant to alter them. *)
+let check_golden name pick =
+  let golden_path = "golden/" ^ name ^ ".json" in
+  let actual_path = name ^ ".actual.json" in
   let golden = In_channel.with_open_bin golden_path In_channel.input_all in
-  let actual = Profile_digest.render (Profile_digest.compute ()) in
+  let actual =
+    Profile_digest.render
+      (List.map
+         (fun (prog, ds) -> (prog, List.map (fun (sp, d) -> (sp, pick d)) ds))
+         (Lazy.force digests))
+  in
   if actual <> golden then begin
-    Out_channel.with_open_bin "profile_digests.actual.json" (fun oc ->
-        output_string oc actual);
+    Out_channel.with_open_bin actual_path (fun oc -> output_string oc actual);
     let lines s = String.split_on_char '\n' s in
     let changed =
       List.filter (fun l -> not (List.mem l (lines golden))) (lines actual)
     in
-    Alcotest.failf "profile digests differ from %s (fresh copy: %s/%s):\n%s"
-      golden_path (Sys.getcwd ()) "profile_digests.actual.json"
-      (String.concat "\n" changed)
+    Alcotest.failf "%s differ from %s (fresh copy: %s/%s):\n%s" name golden_path
+      (Sys.getcwd ()) actual_path (String.concat "\n" changed)
   end
+
+let test_profile_digests () = check_golden "profile_digests" fst
+
+let test_evaluate_digests () = check_golden "evaluate_digests" snd
 
 (* ---- end-to-end evaluation semantics ---- *)
 
@@ -590,6 +605,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_profile_structure;
           Alcotest.test_case "digests match golden" `Slow test_profile_digests;
+          Alcotest.test_case "evaluate digests match golden" `Slow test_evaluate_digests;
         ] );
       ( "raw",
         [
