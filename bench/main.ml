@@ -396,20 +396,26 @@ let table2 () =
 
 (* ---- Figure 1: execution-model schedules on a worked example ---- *)
 
+(* The worked example: four iterations of cost 4 and, when [conflict], a RAW
+   dependency from iteration 1 into iteration 2 with a stall of 1. *)
+let figure1_input ~conflict =
+  {
+    Loopa.Model.iter_costs = [| 4.0; 4.0; 4.0; 4.0 |];
+    n_iters = 4;
+    serial = 16.0;
+    slowest = 4.0;
+    conf_iter = [| 2 |];
+    conf_delta = [| 1.0 |];
+    conf_prod = [| 1 |];
+    n_conflicts = (if conflict then 1 else 0);
+    reg_sync_delta = 0.0;
+    serial_static = false;
+  }
+
 let figure1 () =
   section "Figure 1 — parallel execution models on a 4-iteration loop";
-  let costs = [ 4.0; 4.0; 4.0; 4.0 ] in
-  let conflict_at_2 = Hashtbl.create 2 in
-  Hashtbl.replace conflict_at_2 2 (1.0, 1);
-  let base =
-    {
-      Loopa.Model.iter_costs = Array.of_list costs;
-      conflicts = Hashtbl.create 1;
-      reg_sync_delta = 0.0;
-      serial_static = false;
-    }
-  in
-  let with_conflict = { base with Loopa.Model.conflicts = conflict_at_2 } in
+  let base = figure1_input ~conflict:false in
+  let with_conflict = figure1_input ~conflict:true in
   let show name = function
     | Some c -> Printf.sprintf "%s: parallel cost %.0f (serial 16)" name c
     | None -> Printf.sprintf "%s: serial (cost 16)" name
@@ -556,16 +562,7 @@ let bechamel_probes () =
                Loopa.Config.figure_ladder));
       Test.make ~name:"figure1_models"
         (Staged.stage (fun () ->
-             let conflicts = Hashtbl.create 2 in
-             Hashtbl.replace conflicts 2 (1.0, 1);
-             let inp =
-               {
-                 Loopa.Model.iter_costs = [| 4.0; 4.0; 4.0; 4.0 |];
-                 conflicts;
-                 reg_sync_delta = 0.0;
-                 serial_static = false;
-               }
-             in
+             let inp = figure1_input ~conflict:true in
              ignore (Loopa.Model.doall_cost inp);
              ignore (Loopa.Model.pdoall_cost inp);
              ignore (Loopa.Model.helix_cost inp)));
