@@ -192,21 +192,20 @@ let predicted_speedups (ms : Loopa.Classify.module_static) ~fuel :
   let tbl = Hashtbl.create 16 in
   (match Driver.profile_result ~fuel ~static_prune:true ms with
   | Error _ -> ()
-  | Ok profile -> (
-      match
-        Loopa.Evaluate.evaluate profile
-          (Loopa.Config.of_string "reduc1-dep0-fn1 DOALL")
-      with
-      | report ->
-          List.iter
-            (fun (lr : Loopa.Evaluate.loop_result) ->
-              if lr.Loopa.Evaluate.final_cost > 0. then
-                Hashtbl.replace tbl
-                  (lr.Loopa.Evaluate.fname, lr.Loopa.Evaluate.lid)
-                  (lr.Loopa.Evaluate.serial_cost
-                  /. lr.Loopa.Evaluate.final_cost))
-            report.Loopa.Evaluate.loops
-      | exception _ -> ()));
+  | Ok profile ->
+      let report =
+        try
+          Loopa.Evaluate.evaluate profile
+            (Loopa.Config.of_string "reduc1-dep0-fn1 DOALL")
+        with exn -> raise (Internal (Driver.crash_failure ~stage:Driver.Parrun exn))
+      in
+      List.iter
+        (fun (lr : Loopa.Evaluate.loop_result) ->
+          if lr.Loopa.Evaluate.final_cost > 0. then
+            Hashtbl.replace tbl
+              (lr.Loopa.Evaluate.fname, lr.Loopa.Evaluate.lid)
+              (lr.Loopa.Evaluate.serial_cost /. lr.Loopa.Evaluate.final_cost))
+        report.Loopa.Evaluate.loops);
   tbl
 
 (* ---- calibration rows ---- *)

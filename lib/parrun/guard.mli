@@ -57,7 +57,8 @@ val divergence_failure :
 (** Compile, prepare, and run the guarded comparison. [predict] (default
     true) additionally profiles the program once more to score the
     [DOALL] cost model per loop; pass false to skip that third pass.
-    Compile/prepare/internal errors come back as classified failures;
+    Compile/prepare/internal errors, an exception from the cost model
+    included, come back as classified failures;
     divergence does {e not} — inspect [identical]/[diffs]. *)
 val run :
   ?knobs:Runner.knobs ->
