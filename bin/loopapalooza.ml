@@ -17,7 +17,7 @@
    2 usage error (bad configuration, unknown target, bad flags);
    3 unexpected internal error (classified and printed, never a raw
    backtrace). `repro replay` adds 4 (failure vanished) and 5 (failure
-   changed fingerprint). `campaign` and `sweep` add 6 (interrupted by
+   changed fingerprint). `campaign` adds 6 (interrupted by
    SIGINT/SIGTERM — checkpointed work is flushed and resumable). For
    `chaos`, 1 means a supervision invariant was violated. *)
 
@@ -75,14 +75,14 @@ let handle_errors_int f =
   | Interp.Rvalue.Runtime_error msg ->
       Printf.eprintf "runtime error: %s\n" msg;
       1
-  | Invalid_argument msg
-  | Loopa.Config.Bad_config msg
-  | Exec.Remote.Remote_error msg
-  | Service.Client.Client_error msg ->
+  | Invalid_argument msg | Loopa.Config.Bad_config msg ->
       Printf.eprintf "error: %s\n" msg;
       2
   | Sys_error msg ->
       Printf.eprintf "system error: %s\n" msg;
+      2
+  | Unix.Unix_error (err, _, arg) ->
+      Printf.eprintf "system error: %s: %s\n" arg (Unix.error_message err);
       2
   | Ir.Verifier.Invalid_ir msg ->
       Printf.eprintf "internal error: IR verifier rejected the module: %s\n" msg;
@@ -133,7 +133,7 @@ let prom_arg =
           "Record pipeline telemetry and write a Prometheus-style text dump \
            of counters, histograms and span aggregates to $(docv).")
 
-(* ---- parallelism (sweep / campaign) ---- *)
+(* ---- parallelism (campaign / chaos) ---- *)
 
 let jobs_arg =
   Arg.(
@@ -163,44 +163,6 @@ let cache_arg =
            every result-shaping knob and the code revision \
            ($(b,LOOPA_GIT_REV)), so a warm hit replays byte-identical output \
            without compiling or classifying anything.")
-
-(* ---- remote workers (sweep / campaign) ---- *)
-
-let workers_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "workers" ] ~docv:"HOST:PORT,..."
-        ~doc:
-          "Shard tasks across remote workers: listen on each $(docv) endpoint \
-           and wait for a $(b,loopapalooza worker --connect) process to dial \
-           in before starting. Remote workers ride the same supervision \
-           (watchdog, backoff, circuit breaker) as local forked ones.")
-
-(* Listen on every configured endpoint and wait for the worker fleet to
-   dial in; returns the connected, hello-validated sockets. The listening
-   fds are closed as soon as their worker arrives — one worker per
-   endpoint. *)
-let connect_workers = function
-  | None -> []
-  | Some spec ->
-      let endpoints = Exec.Remote.parse_hostports spec in
-      if endpoints = [] then
-        raise (Invalid_argument "--workers: no endpoints in the list");
-      List.map
-        (fun (host, port) ->
-          let lfd = Exec.Remote.listen ~host ~port in
-          Printf.eprintf "waiting for worker on %s:%d\n%!" host
-            (Exec.Remote.bound_port lfd);
-          Fun.protect
-            ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-            (fun () -> Exec.Remote.accept_worker lfd))
-        endpoints
-
-let close_workers remotes =
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    remotes
 
 (* Enable recording iff any exporter was requested, and export on the way
    out even when the body fails — the trace of a failed pipeline is exactly
@@ -304,11 +266,6 @@ let loops_arg =
   Arg.(
     value & opt int 8
     & info [ "loops" ] ~docv:"N" ~doc:"Show the $(docv) costliest loops (0 = none).")
-
-(* Report rendering lives in Service.Render, shared with the daemon —
-   the byte-identity contract between `analyze` here and `client
-   analyze` against a daemon holds because both print that exact
-   string. *)
 
 let static_dep_arg =
   Arg.(
@@ -492,6 +449,77 @@ let analyze_cmd =
 
 (* ---- sweep ---- *)
 
+let sweep_row (r : Loopa.Evaluate.report) =
+  [
+    Loopa.Config.name r.Loopa.Evaluate.config;
+    Printf.sprintf "%.2f" r.Loopa.Evaluate.speedup;
+    Printf.sprintf "%.1f" r.Loopa.Evaluate.coverage_pct;
+    Printf.sprintf "%.1f" r.Loopa.Evaluate.static_coverage_pct;
+  ]
+
+let sweep_cmd =
+  let run target fuel cache serve trace metrics prom =
+    handle_errors (fun () ->
+        with_telemetry ~trace ~metrics ~prom (fun () ->
+        with_serve serve (fun srv ->
+            let sweep_status state =
+              Util.Json.Obj
+                [
+                  ("command", Util.Json.String "sweep");
+                  ("target", Util.Json.String target);
+                  ("state", Util.Json.String state);
+                ]
+            in
+            publish_status srv (sweep_status "analyzing");
+            let source = read_program target in
+            let cache = Option.map Service.Cache.open_dir cache in
+            let key =
+              Service.Cache.key ~source
+                ~fingerprint:(Service.Keys.sweep ~fuel)
+            in
+            let cached_text =
+              Option.bind cache (fun c ->
+                  Option.bind (Service.Cache.find c key) (fun v ->
+                      Option.bind (Util.Json.member "text" v) Util.Json.to_str))
+            in
+            (match cached_text with
+            | Some text -> print_string text
+            | None ->
+                let a = Loopa.Driver.analyze_source ~fuel source in
+                let t =
+                  Report.Table.create
+                    [ "configuration"; "speedup"; "coverage %"; "static %" ]
+                in
+                List.iter
+                  (fun cfg ->
+                    Report.Table.add_row t
+                      (sweep_row (Loopa.Driver.evaluate a cfg)))
+                  Loopa.Config.figure_ladder;
+                let text =
+                  Printf.sprintf "%s\n%s\n"
+                    (dep_delta_line a.Loopa.Driver.ms)
+                    (Report.Table.render t)
+                in
+                Option.iter
+                  (fun c ->
+                    Service.Cache.store c key
+                      (Util.Json.Obj
+                         [
+                           ("kind", Util.Json.String "sweep");
+                           ("text", Util.Json.String text);
+                         ]))
+                  cache;
+                print_string text);
+            publish_status srv (sweep_status "done"))))
+  in
+  Cmd.v
+    (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
+    Term.(
+      const run $ target_arg $ fuel_arg $ cache_arg $ serve_arg $ trace_arg
+      $ metrics_arg $ prom_arg)
+
+(* ---- parrun ---- *)
+
 (* guarded parallel execution speaks Parrun.Guard rows; the report layer
    renders its own plain record — bridge the two *)
 let calib_report_rows rows =
@@ -515,162 +543,6 @@ let calib_report_rows rows =
         predicted = r.Parrun.Guard.cb_predicted;
       })
     rows
-
-let sweep_cmd =
-  let run target fuel jobs parallel_loops cache workers serve trace metrics prom
-      =
-    handle_errors (fun () ->
-        with_telemetry ~trace ~metrics ~prom (fun () ->
-        with_serve serve (fun srv ->
-            let sweep_status state =
-              Util.Json.Obj
-                [
-                  ("command", Util.Json.String "sweep");
-                  ("target", Util.Json.String target);
-                  ("state", Util.Json.String state);
-                ]
-            in
-            publish_status srv (sweep_status "analyzing");
-            let source = read_program target in
-            let jobs = resolve_jobs jobs in
-            (* --parallel-loops times a live run; cached bytes cannot
-               stand in for it, so it bypasses the cache *)
-            let cache =
-              if parallel_loops then None
-              else Option.map Service.Cache.open_dir cache
-            in
-            let key =
-              Service.Cache.key ~source
-                ~fingerprint:(Service.Keys.sweep ~fuel)
-            in
-            let cached_text =
-              Option.bind cache (fun c ->
-                  Option.bind (Service.Cache.find c key) (fun v ->
-                      Option.bind (Util.Json.member "text" v) Util.Json.to_str))
-            in
-            (match cached_text with
-            | Some text -> print_string text
-            | None ->
-                let a = Loopa.Driver.analyze_source ~fuel source in
-                let b = Buffer.create 512 in
-                Buffer.add_string b (dep_delta_line a.Loopa.Driver.ms);
-                Buffer.add_char b '\n';
-                let configs = Array.of_list Loopa.Config.figure_ladder in
-                let rows =
-                  if jobs <= 1 && workers = None then
-                    Array.to_list
-                      (Array.map
-                         (fun cfg ->
-                           Service.Worker.sweep_row (Loopa.Driver.evaluate a cfg))
-                         configs)
-                  else begin
-                    (* each rung is one pool task; the analysis rides into
-                       local workers through the fork image and into remote
-                       ones through the sweep-init frame — only the four
-                       rendered cells come back over the wire *)
-                    let remotes = connect_workers workers in
-                    List.iter
-                      (fun fd ->
-                        Exec.Ipc.write fd
-                          (Service.Worker.sweep_init_json ~fuel
-                             ~configs:Loopa.Config.figure_ladder ~src:source))
-                      remotes;
-                    let work payload =
-                      let k = Option.value ~default:0 (Util.Json.to_int payload) in
-                      Util.Json.List
-                        (List.map
-                           (fun s -> Util.Json.String s)
-                           (Service.Worker.sweep_row
-                              (Loopa.Driver.evaluate a configs.(k))))
-                    in
-                    let outcomes, _stats =
-                      Exec.Pool.run ~jobs ~remotes ~work
-                        (Array.init (Array.length configs) (fun i ->
-                             Util.Json.Int i))
-                    in
-                    close_workers remotes;
-                    Array.to_list
-                      (Array.mapi
-                         (fun i outcome ->
-                           match outcome with
-                           | Some (Exec.Pool.Done (Util.Json.List cells)) ->
-                               List.map
-                                 (fun c ->
-                                   Option.value ~default:"?" (Util.Json.to_str c))
-                                 cells
-                           | Some (Exec.Pool.Lost cause) ->
-                               [
-                                 Loopa.Config.name configs.(i);
-                                 "lost: " ^ cause;
-                                 "-";
-                                 "-";
-                               ]
-                           | _ -> [ Loopa.Config.name configs.(i); "?"; "-"; "-" ])
-                         outcomes)
-                  end
-                in
-                let t =
-                  Report.Table.create
-                    [ "configuration"; "speedup"; "coverage %"; "static %" ]
-                in
-                List.iter (Report.Table.add_row t) rows;
-                Printf.bprintf b "%s\n" (Report.Table.render t);
-                let text = Buffer.contents b in
-                (* rows with a lost worker are not a result — don't cache them *)
-                let complete =
-                  not (List.exists (List.exists (fun c -> c = "?" || c = "-")) rows)
-                in
-                if complete then
-                  Option.iter
-                    (fun c ->
-                      Service.Cache.store c key
-                        (Util.Json.Obj
-                           [
-                             ("kind", Util.Json.String "sweep");
-                             ("text", Util.Json.String text);
-                           ]))
-                    cache;
-                print_string text);
-            publish_status srv (sweep_status "done");
-            (* ---- guarded parallel execution: predicted vs measured ---- *)
-            if parallel_loops then begin
-              let knobs =
-                {
-                  Parrun.Runner.default_knobs with
-                  Parrun.Runner.jobs = max 2 jobs;
-                }
-              in
-              print_newline ();
-              print_endline "guarded parallel execution (measured vs predicted):";
-              match Parrun.Guard.run ~knobs ~fuel ~target source with
-              | Error f -> print_endline (Loopa.Driver.failure_to_string f)
-              | Ok r ->
-                  print_endline
-                    (Report.Calibration.render (calib_report_rows r.Parrun.Guard.rows));
-                  Printf.printf "serial %.4fs  parallel %.4fs  %s\n"
-                    r.Parrun.Guard.serial_wall r.Parrun.Guard.parallel_wall
-                    (if r.Parrun.Guard.identical then "byte-identical"
-                     else "DIVERGED")
-            end)))
-  in
-  let parallel_loops_arg =
-    Arg.(
-      value & flag
-      & info [ "parallel-loops" ]
-          ~doc:
-            "Additionally execute the program under the guarded parallel \
-             runtime and append a calibration table: measured parallel \
-             speedup per proven-DOALL loop against the cost model's \
-             prediction.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
-    Term.(
-      const run $ target_arg $ fuel_arg $ jobs_arg $ parallel_loops_arg
-      $ cache_arg $ workers_arg $ serve_arg $ trace_arg $ metrics_arg
-      $ prom_arg)
-
-(* ---- parrun ---- *)
 
 let print_parrun_result target (r : Parrun.Guard.result) =
   Printf.printf "== %s ==\n" target;
@@ -950,7 +822,6 @@ let parse_inject spec =
       in
       (name, fault, clock)
 
-(* Shared with the daemon via Service.Render, like the analyze report. *)
 let print_campaign_summary (s : Campaign.Runner.summary) =
   print_string (Service.Render.campaign_summary s)
 
@@ -1038,7 +909,7 @@ let campaign_cmd =
              $(i,target).speedscope.json flamegraph files in $(docv).")
   in
   let run targets all json checkpoint resume retries fuel wall watchdog injects
-      repro_dir profile_dir jobs cache workers serve trace metrics prom =
+      repro_dir profile_dir jobs cache serve trace metrics prom =
     handle_errors (fun () ->
         if (not all) && targets = [] then
           raise (Invalid_argument "campaign needs TARGETS or --all");
@@ -1108,10 +979,8 @@ let campaign_cmd =
                       if srv <> None then publish_beat hb)
             in
             let jobs = resolve_jobs jobs in
-            let remotes = connect_workers workers in
             let executor =
-              if remotes <> [] then Campaign.Runner.Forked (max 1 jobs)
-              else if jobs > 1 then Campaign.Runner.Forked jobs
+              if jobs > 1 then Campaign.Runner.Forked jobs
               else Campaign.Runner.Serial
             in
             (* fault injection and per-task profiling must not consume or
@@ -1145,9 +1014,8 @@ let campaign_cmd =
             let summary =
               Campaign.Runner.run ~budgets ?checkpoint ~resume ~faults_of
                 ?repro_dir ?prof_dir:profile_dir ~log ?heartbeat ~executor
-                ?cache_find ?cache_store ~remotes named
+                ?cache_find ?cache_store named
             in
-            close_workers remotes;
             if json then
               print_endline
                 (Util.Json.to_string (Campaign.Runner.summary_to_json summary))
@@ -1161,8 +1029,8 @@ let campaign_cmd =
     Term.(
       const run $ targets_arg $ all_arg $ json_arg $ checkpoint_arg $ resume_arg
       $ retries_arg $ fuel_arg $ wall_arg $ watchdog_arg $ inject_arg
-      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ workers_arg
-      $ serve_arg $ trace_arg $ metrics_arg $ prom_arg)
+      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ serve_arg
+      $ trace_arg $ metrics_arg $ prom_arg)
 
 (* ---- chaos ---- *)
 
@@ -1752,209 +1620,6 @@ let perfdiff_cmd =
       const run $ snapshots_arg $ history_arg $ tolerance_arg $ all_arg
       $ json_arg)
 
-(* ---- analysis as a service: serve / client / worker ---- *)
-
-let socket_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path of the analysis daemon.")
-
-let serve_cmd =
-  let cache_max_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-max-bytes" ] ~docv:"N"
-          ~doc:
-            "Size cap for the result cache; least-recently-used entries are \
-             evicted past it (default 256 MiB).")
-  in
-  let metrics_port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve Prometheus text at http://127.0.0.1:$(docv)/metrics and a \
-             JSON snapshot at /status, republished after every request. Port \
-             0 picks a free port (printed to stderr).")
-  in
-  let run socket cache cache_max metrics_port =
-    handle_errors (fun () ->
-        Service.Daemon.serve ~socket ?cache_dir:cache
-          ?cache_max_bytes:cache_max ?metrics_port ())
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the persistent analysis daemon: accept analyze/campaign \
-          requests over a Unix-domain socket, cache-first, until SIGTERM \
-          (which drains the in-flight request and flushes the cache index).")
-    Term.(const run $ socket_arg $ cache_arg $ cache_max_arg $ metrics_port_arg)
-
-let client_cmd =
-  let progress_to_stderr frame =
-    match Option.bind (Util.Json.member "line" frame) Util.Json.to_str with
-    | Some line -> prerr_endline line
-    | None -> ()
-  in
-  let frame_str key frame =
-    Option.value ~default:""
-      (Option.bind (Util.Json.member key frame) Util.Json.to_str)
-  in
-  let fail (msg, code) =
-    Printf.eprintf "error: %s\n" msg;
-    code
-  in
-  let ping_cmd =
-    let run socket =
-      handle_errors_int (fun () ->
-          match Service.Client.submit ~socket Service.Client.ping_request with
-          | Ok _ ->
-              print_endline "pong";
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "ping" ~doc:"Check that the daemon is alive.")
-      Term.(const run $ socket_arg)
-  in
-  let analyze_cmd =
-    let run socket target config fuel loops optimize =
-      handle_errors_int (fun () ->
-          let req =
-            Service.Client.analyze_request ~source:(read_program target)
-              ~config ~fuel ~loops ~optimize
-          in
-          match
-            Service.Client.submit ~socket ~on_frame:progress_to_stderr req
-          with
-          | Ok frame ->
-              (* the daemon rendered with Service.Render; printing the bytes
-                 verbatim is what keeps this byte-identical to `analyze` *)
-              print_string (frame_str "text" frame);
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "analyze"
-         ~doc:
-           "Submit one analyze request to the daemon; output is \
-            byte-identical to the local $(b,analyze) command.")
-      Term.(
-        const run $ socket_arg $ target_arg $ config_arg $ fuel_arg $ loops_arg
-        $ optimize_arg)
-  in
-  let campaign_cmd =
-    let targets_arg =
-      Arg.(
-        value & pos_all string []
-        & info [] ~docv:"TARGETS"
-            ~doc:"Registered benchmark names or Looplang source files.")
-    in
-    let all_arg =
-      Arg.(
-        value & flag
-        & info [ "all" ] ~doc:"Run over the whole benchmark registry.")
-    in
-    let retries_arg =
-      Arg.(
-        value & opt int 1
-        & info [ "retries" ] ~docv:"N"
-            ~doc:"Retries at reduced fuel for budget-exhausted tasks.")
-    in
-    let wall_arg =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "wall" ] ~docv:"SECONDS" ~doc:"Per-attempt wall-clock budget.")
-    in
-    let watchdog_arg =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "watchdog" ] ~docv:"SECONDS"
-            ~doc:"Per-task wall deadline enforced daemon-side under --jobs.")
-    in
-    let checkpoint_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "checkpoint" ] ~docv:"FILE"
-            ~doc:
-              "Write the campaign's JSONL checkpoint (shipped back by the \
-               daemon) to $(docv).")
-    in
-    let run socket targets all jobs fuel retries wall watchdog checkpoint =
-      handle_errors_int (fun () ->
-          if (not all) && targets = [] then
-            raise (Invalid_argument "client campaign needs TARGETS or --all");
-          let named =
-            if all then
-              List.map
-                (fun (b : Suites.Suite.benchmark) ->
-                  (b.Suites.Suite.name, b.Suites.Suite.source))
-                (Suites.Suite.all ())
-            else List.map (fun t -> (t, read_program t)) targets
-          in
-          let req =
-            Service.Client.campaign_request ~targets:named
-              ~jobs:(resolve_jobs jobs) ~fuel ~retries ?wall ?watchdog ()
-          in
-          match
-            Service.Client.submit ~socket ~on_frame:progress_to_stderr req
-          with
-          | Ok frame ->
-              Option.iter
-                (fun path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc (frame_str "checkpoint" frame)))
-                checkpoint;
-              print_string (frame_str "summary" frame);
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "campaign"
-         ~doc:
-           "Submit a campaign to the daemon: progress streams to stderr, the \
-            summary (byte-identical to local $(b,campaign)) to stdout, and \
-            the checkpoint JSONL to $(b,--checkpoint).")
-      Term.(
-        const run $ socket_arg $ targets_arg $ all_arg $ jobs_arg $ fuel_arg
-        $ retries_arg $ wall_arg $ watchdog_arg $ checkpoint_arg)
-  in
-  Cmd.group
-    (Cmd.info "client"
-       ~doc:
-         "Talk to a running analysis daemon ($(b,serve)); results render \
-          byte-identically to the local commands.")
-    [ ping_cmd; analyze_cmd; campaign_cmd ]
-
-let worker_cmd =
-  let connect_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Dial a coordinator that is waiting on this endpoint \
-             ($(b,--workers)) and serve its tasks until told to quit.")
-  in
-  let run connect =
-    handle_errors (fun () ->
-        let host, port = Exec.Remote.parse_hostport connect in
-        Service.Worker.run ~host ~port)
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Remote pool worker for multi-host sharding: connect to a campaign \
-          or sweep coordinator over TCP and execute its tasks.")
-    Term.(const run $ connect_arg)
-
 let () =
   let doc = "Loopapalooza: a compiler-driven limit study of loop-level parallelism" in
   let info = Cmd.info "loopapalooza" ~version:"1.0.0" ~doc in
@@ -1974,7 +1639,4 @@ let () =
             dump_ir_cmd;
             lint_cmd;
             perfdiff_cmd;
-            serve_cmd;
-            client_cmd;
-            worker_cmd;
           ]))

@@ -639,12 +639,10 @@ type entry = {
   efail : (Loopa.Driver.failure * int) option;
 }
 
-(* The whole isolated task as a wire frame — the worker body shared by
-   local forked workers and remote TCP workers: run it, then ship the
-   result (plus the failure detail and a telemetry snapshot when
-   enabled) back as one JSON object. *)
-let task_to_wire ?prof_dir ?(faults = []) ?(on_task_start = fun _ -> ())
-    ~budgets ~configs target src =
+(* The whole isolated task as a wire frame — the forked worker's body:
+   run it, then ship the result (plus the failure detail and a telemetry
+   snapshot when enabled) back as one JSON object. *)
+let task_to_wire ?prof_dir ~faults ~on_task_start ~budgets ~configs target src =
   on_task_start target;
   let tmark = Obs.Telemetry.mark () in
   let r, failure =
@@ -668,79 +666,11 @@ let task_to_wire ?prof_dir ?(faults = []) ?(on_task_start = fun _ -> ())
       | None -> [])
     @ tele)
 
-(* ---- remote workers ----
-
-   A remote worker knows nothing when it dials in; the coordinator sends
-   one campaign-init frame carrying the budgets and the config ladder,
-   and from then on the pool's task payloads are self-contained
-   {k; target; src} objects, so the worker needs no shared memory with
-   the coordinator (the fork pool's trick of capturing sources in the
-   work closure does not survive a machine boundary). *)
-
-let remote_init_json ~(budgets : budgets) ~configs =
-  Json.Obj
-    ([
-       ("op", Json.String "campaign-init");
-       ("fuel", Json.Int budgets.fuel);
-       ("mem_limit", Json.Int budgets.mem_limit);
-       ("max_depth", Json.Int budgets.max_depth);
-       ("retries", Json.Int budgets.retries);
-       ("telemetry", Json.Bool (Obs.Telemetry.enabled ()));
-       ( "configs",
-         Json.List
-           (List.map (fun c -> Json.String (Loopa.Config.name c)) configs) );
-     ]
-    @ match budgets.wall_s with
-      | Some w -> [ ("wall_s", Json.Float w) ]
-      | None -> [])
-
-let remote_work_of_init j : (Json.t -> Json.t, string) Stdlib.result =
-  match Json.member "op" j with
-  | Some (Json.String "campaign-init") -> (
-      let geti k d =
-        Option.value ~default:d (Option.bind (Json.member k j) Json.to_int)
-      in
-      let budgets =
-        {
-          fuel = geti "fuel" default_budgets.fuel;
-          mem_limit = geti "mem_limit" default_budgets.mem_limit;
-          max_depth = geti "max_depth" default_budgets.max_depth;
-          wall_s = Option.bind (Json.member "wall_s" j) Json.to_float;
-          retries = geti "retries" default_budgets.retries;
-          watchdog_s = None (* enforced coordinator-side by the pool *);
-        }
-      in
-      let config_names =
-        match Json.member "configs" j with
-        | Some (Json.List l) -> List.filter_map Json.to_str l
-        | _ -> []
-      in
-      match
-        List.map Loopa.Config.of_string config_names
-      with
-      | configs ->
-          if Json.member "telemetry" j = Some (Json.Bool true) then
-            Obs.Telemetry.enable ();
-          Ok
-            (fun payload ->
-              match
-                ( Option.bind (Json.member "target" payload) Json.to_str,
-                  Option.bind (Json.member "src" payload) Json.to_str )
-              with
-              | Some target, Some src ->
-                  task_to_wire ~budgets ~configs target src
-              | _ ->
-                  failwith "remote task payload missing target/src")
-      | exception Loopa.Config.Bad_config m ->
-          Error ("campaign-init carries a bad config: " ^ m))
-  | _ -> Error "expected a campaign-init frame"
-
 let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
     ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
     ?prof_dir ?(log = fun _ -> ()) ?heartbeat ?(executor = Serial)
     ?(on_task_start = fun (_ : string) -> ()) ?chaos ?(breaker_threshold = 5)
-    ?cache_find ?cache_store ?(remotes = [])
-    (targets : (string * string) list) : summary =
+    ?cache_find ?cache_store (targets : (string * string) list) : summary =
   let done_before =
     match checkpoint with
     | Some path when resume -> load_checkpoint ~log path
@@ -1023,19 +953,10 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
         let entries : entry option array = Array.make n None in
         let written = Array.make n false in
         (* the worker body: the whole isolated task, exactly as serial.
-           Local forked workers inherit fresh_arr across the fork and
-           only need the index; remote payloads are self-contained
-           {k; target; src} objects, decoded by the remote's own work
-           function ({!remote_work_of_init}) — this one resolves through
-           fresh_arr either way. *)
+           Workers inherit fresh_arr across the fork, so a task's payload
+           is just its index. *)
         let work payload =
-          let k =
-            match payload with
-            | Json.Int k -> k
-            | j ->
-                Option.value ~default:0
-                  (Option.bind (Json.member "k" j) Json.to_int)
-          in
+          let k = Option.value ~default:0 (Json.to_int payload) in
           let target, src = fresh_arr.(k) in
           task_to_wire ?prof_dir ~faults:(faults_of target) ~on_task_start
             ~budgets ~configs target src
@@ -1132,23 +1053,6 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
             ~seed:(Option.value ~default:0 (Option.bind chaos Exec.Chaos.seed))
             ()
         in
-        (* remote workers get the campaign parameters once, up front;
-           after the init frame the socket speaks plain pool frames *)
-        List.iter
-          (fun fd -> Exec.Ipc.write fd (remote_init_json ~budgets ~configs))
-          remotes;
-        let payloads =
-          if remotes = [] then Array.init n (fun i -> Json.Int i)
-          else
-            Array.init n (fun i ->
-                let target, src = fresh_arr.(i) in
-                Json.Obj
-                  [
-                    ("k", Json.Int i);
-                    ("target", Json.String target);
-                    ("src", Json.String src);
-                  ])
-        in
         let _outcomes, stats =
           Exec.Pool.run ~jobs
             ~worker_init:(fun () -> Obs.Telemetry.reset ())
@@ -1158,8 +1062,8 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
             ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete
             ~on_ordered
             ~should_stop:(fun () -> !interrupted)
-            ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~remotes ~work
-            payloads
+            ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~work
+            (Array.init n (fun i -> Json.Int i))
         in
         if !interrupted then begin
           flush_unwritten ();
@@ -1259,9 +1163,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       in
       let results =
         match executor with
-        (* remote workers imply the pool: a remote-augmented campaign
-           runs forked even at --jobs 1 *)
-        | Forked jobs when (jobs > 1 || remotes <> []) && targets <> [] ->
+        | Forked jobs when jobs > 1 && targets <> [] ->
             run_forked jobs
         | Serial | Forked _ -> run_serial ()
       in

@@ -214,18 +214,6 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     the cache). Both hooks are failure-isolated: a throwing find is a
     miss, a throwing store is logged and ignored.
 
-    Remote workers. [remotes] attaches connected TCP worker sockets
-    ({!Exec.Remote}) to the pool. The runner sends each one a
-    campaign-init frame ({!remote_init_json}) and ships self-contained
-    [{k; target; src}] task payloads instead of bare indices; PR-7
-    supervision (watchdog, backoff accounting, breaker, degraded-serial
-    completion) applies to remote workers unchanged, with the socket
-    shutdown standing in for SIGKILL. With remotes attached, [Forked j]
-    runs the pool even at [j <= 1] (zero local workers is a valid
-    shape). [faults_of], [prof_dir] and [on_task_start] do not cross
-    the machine boundary — remote tasks run with no injected faults, no
-    profiler and no start hook.
-
     While running, SIGINT/SIGTERM are caught: the runner finishes flushing
     decided results to the checkpoint and raises {!Interrupted}. *)
 val run :
@@ -244,29 +232,7 @@ val run :
   ?breaker_threshold:int ->
   ?cache_find:(string -> result option) ->
   ?cache_store:(string -> result -> unit) ->
-  ?remotes:Unix.file_descr list ->
   (string * string) list ->
   summary
-
-(** {2 Remote-worker wire helpers}
-
-    Used by the [worker --connect] subcommand (via [Service.Worker]) on
-    the far side of a TCP link, and by tests. *)
-
-(** The one-shot parameter frame the runner sends each remote before
-    handing its socket to the pool: budgets, the config ladder (by
-    name — {!Loopa.Config.name} round-trips through [of_string]), and
-    whether telemetry is enabled coordinator-side. *)
-val remote_init_json :
-  budgets:budgets -> configs:Loopa.Config.t list -> Util.Json.t
-
-(** Build the pool [work] function a remote worker runs from a received
-    campaign-init frame: decodes the budgets/configs, enables telemetry
-    when the coordinator has it on, and returns a closure that executes
-    [{k; target; src}] task payloads through the same isolated-task body
-    as local workers. [Error] on a frame that is not a campaign-init or
-    carries an unparseable config. *)
-val remote_work_of_init :
-  Util.Json.t -> (Util.Json.t -> Util.Json.t, string) Stdlib.result
 
 val summary_to_json : summary -> Util.Json.t

@@ -13,12 +13,6 @@ type task_fault =
 
 type ckpt_fault = Eio | Enospc
 
-(* Coordinator-side faults against a *remote* (TCP) worker's link, keyed
-   by the task index the worker is running when the fault fires. Local
-   forked workers are never affected: the pool only consults the link
-   schedule for remote transports. *)
-type link_fault = Sever | Stall
-
 type rates = {
   kill : float;
   stall : float;
@@ -33,16 +27,11 @@ let default_rates =
 
 type plan =
   | Seeded of { seed : int; rates : rates }
-  | Explicit of {
-      tasks : (int * task_fault) list;
-      ckpt : (int * ckpt_fault) list;
-      links : (int * link_fault) list;
-    }
+  | Explicit of { tasks : (int * task_fault) list; ckpt : (int * ckpt_fault) list }
 
 let seeded ?(rates = default_rates) seed = Seeded { seed; rates }
 
-let explicit ?(ckpt_faults = []) ?(link_faults = []) tasks =
-  Explicit { tasks; ckpt = ckpt_faults; links = link_faults }
+let explicit ?(ckpt_faults = []) tasks = Explicit { tasks; ckpt = ckpt_faults }
 
 let seed = function Seeded { seed; _ } -> Some seed | Explicit _ -> None
 
@@ -103,26 +92,6 @@ let ckpt_fault plan k =
       if unit_of seed 2 k < rates.ckpt then
         if Int64.rem (hash seed 3 k) 2L = 0L then Some Eio else Some Enospc
       else None
-
-(* Link faults ride lane 6 — independent of the task (0/1), checkpoint
-   (2/3) and shard (4/5) schedules for the same index. Seeded placement
-   reuses the kill/stall rates: a severed link is the TCP analogue of a
-   SIGKILLed worker, a stalled link of a SIGSTOP'd one. *)
-let link_fault plan i =
-  match plan with
-  | Explicit { links; _ } -> List.assoc_opt i links
-  | Seeded { seed; rates } ->
-      let u = unit_of seed 6 i in
-      if u < rates.kill then Some Sever
-      else if u < rates.kill +. rates.stall then Some Stall
-      else None
-
-let link_fault_name = function Sever -> "sever" | Stall -> "stall"
-
-(* The cause string the pool records when it severs a remote's link —
-   exported so tests (and the serial simulation, should one ever cover
-   remotes) can assert byte-identical checkpoints. *)
-let severed_link_cause = "link severed (chaos)"
 
 (* ---- shard-scoped faults (guarded parallel loop execution) ----
 

@@ -35,19 +35,6 @@ type ckpt_fault =
   | Eio
   | Enospc  (** simulated write errors on the JSONL checkpoint stream *)
 
-(** Coordinator-side faults against a {e remote} (TCP) worker's link,
-    keyed by the task index the worker is running when the fault fires.
-    Local forked workers are never affected — the pool only consults the
-    link schedule for remote transports. *)
-type link_fault =
-  | Sever  (** shut the socket down mid-task — the TCP analogue of
-               [Kill_self]; the task is recorded lost with
-               {!severed_link_cause} *)
-  | Stall
-      (** stop reading the worker's frames — a silent hang only the
-          watchdog can resolve (it shuts the link down and records a
-          timeout) *)
-
 (** Per-decision probabilities for {!seeded} plans, evaluated in the
     order kill, stall, torn, corrupt, delay (the sum of the task-fault
     rates should stay <= 1). [ckpt] applies independently per
@@ -73,13 +60,8 @@ val seeded : ?rates:rates -> int -> plan
 
 (** [explicit faults] — exact placement for tests: an association list
     from task index (position in the pool's fresh-task array) to fault,
-    plus optionally from checkpoint-write index to write fault and from
-    task index to remote-link fault. *)
-val explicit :
-  ?ckpt_faults:(int * ckpt_fault) list ->
-  ?link_faults:(int * link_fault) list ->
-  (int * task_fault) list ->
-  plan
+    plus optionally from checkpoint-write index to write fault. *)
+val explicit : ?ckpt_faults:(int * ckpt_fault) list -> (int * task_fault) list -> plan
 
 (** The seed of a {!seeded} plan; [None] for {!explicit} ones. *)
 val seed : plan -> int option
@@ -89,19 +71,6 @@ val task_fault : plan -> int -> task_fault option
 
 (** The fault scheduled for the [k]th checkpoint-write attempt. Pure. *)
 val ckpt_fault : plan -> int -> ckpt_fault option
-
-(** The link fault scheduled for task index [i], if any. Rides hash
-    lane 6 — independent of the task/ckpt/shard schedules for the same
-    index. Seeded placement reuses the kill rate for [Sever] and the
-    stall rate for [Stall]. Pure. *)
-val link_fault : plan -> int -> link_fault option
-
-val link_fault_name : link_fault -> string
-
-(** The cause string the pool records when chaos severs a remote's link
-    ({!link_fault} = [Sever]) — exported so tests can assert
-    byte-identical checkpoints. *)
-val severed_link_cause : string
 
 (** {2 Shard-scoped faults}
 

@@ -208,29 +208,3 @@ let store t k v =
 let stats t = (t.hits, t.misses, t.evictions)
 
 let size_bytes t = t.total
-
-let n_entries t = Hashtbl.length t.entries
-
-let flush t =
-  let entries =
-    Hashtbl.fold
-      (fun k e acc ->
-        Json.Obj [ ("key", Json.String k); ("bytes", Json.Int e.size) ] :: acc)
-      t.entries []
-  in
-  let doc =
-    Json.Obj
-      [
-        ("entries", Json.List entries);
-        ("total_bytes", Json.Int t.total);
-        ("max_bytes", Json.Int t.max_bytes);
-        ("hits", Json.Int t.hits);
-        ("misses", Json.Int t.misses);
-        ("evictions", Json.Int t.evictions);
-        ("rev", Json.String (code_rev ()));
-      ]
-  in
-  let tmp = Filename.concat t.dir (Printf.sprintf ".tmp.%d.index" (Unix.getpid ())) in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Json.to_string doc));
-  Unix.rename tmp (Filename.concat t.dir "index.json")

@@ -45,10 +45,3 @@ val store : t -> string -> Util.Json.t -> unit
 val stats : t -> int * int * int
 
 val size_bytes : t -> int
-val n_entries : t -> int
-
-(** Persist a diagnostic [index.json] (entry list, totals, hit/miss
-    counts) into the cache directory — atomically, like entries. The
-    index is informational: nothing reads it back, so a stale one is
-    harmless. Called by the daemon on graceful shutdown. *)
-val flush : t -> unit

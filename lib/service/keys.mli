@@ -1,9 +1,7 @@
 (** Knob fingerprints for {!Cache} keys — one per cacheable verb. Every
     flag that can change the bytes of a cached result is folded in, so
     equal keys imply equal output; each fingerprint carries a version
-    tag that is bumped when the pipeline or a renderer changes meaning.
-    Shared by the CLI and the daemon so both sides of a warm request
-    derive the same key. *)
+    tag that is bumped when the pipeline or a renderer changes meaning. *)
 
 val analyze :
   config:string -> fuel:int -> loops:int -> optimize:bool -> string

@@ -1,11 +1,6 @@
-(* Canonical text renderers for analysis results, shared by the local
-   CLI and the daemon/client pair. "Byte-identical reports" is the
-   service contract, and sharing the renderer is how it is kept by
-   construction rather than by test: the daemon renders with exactly the
-   code the CLI would have used, the client prints the bytes verbatim,
-   and cached entries replay the same bytes again. Output is built into
-   a string (never printed here) so it can equally go to stdout, into a
-   cache entry, or over the wire. *)
+(* Canonical text renderers for analysis results. Output is built into a
+   string (never printed here) so the same bytes can go to stdout or into
+   a cache entry, and a warm hit replays exactly what a cold run printed. *)
 
 let report ~show_loops (r : Loopa.Evaluate.report) : string =
   let b = Buffer.create 512 in

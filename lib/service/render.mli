@@ -1,9 +1,7 @@
-(** Canonical text renderers shared by the local CLI, the cache, and
-    the daemon/client pair. The service contract — client output is
-    byte-identical to the local CLI — holds by construction because both
-    paths call exactly these functions and print the returned string
-    verbatim. Both renderers are deterministic for deterministic inputs
-    (no clocks, no environment). *)
+(** Canonical text renderers shared by the CLI and the result cache: a
+    cached entry holds the returned string, so a warm run prints the
+    bytes a cold run printed. Both renderers are deterministic for
+    deterministic inputs (no clocks, no environment). *)
 
 (** The [analyze] report: config/cost/speedup/coverage block, plus the
     [show_loops] costliest per-loop rows when positive. *)
@@ -13,6 +11,6 @@ val report : show_loops:int -> Loopa.Evaluate.report -> string
     resumed-from-checkpoint / served-from-cache notes), failure
     breakdown, per-config geomeans. Contains [wall_s] values, so two
     {e runs} differ textually even when their checkpoints normalize
-    identically — byte-identity holds between the daemon's rendering
-    and the client's printing of one run, not across runs. *)
+    identically; a cached result replays the [wall_s] it was stored
+    with. *)
 val campaign_summary : Campaign.Runner.summary -> string

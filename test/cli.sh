@@ -2,7 +2,9 @@
 # CLI checks against the built binary, run by `dune runtest` from the build
 # copy of this directory: usage: cli.sh LOOPAPALOOZA_EXE
 #   - `sweep` prints golden/sweep_<program>.txt byte for byte, cold and then
-#     warm through `--cache` (the warm run replays the stored table).
+#     warm through `--cache` (the warm run replays the stored table);
+#   - an unusable `--cache DIR` is a system error (exit 2), not an internal
+#     one.
 set -euo pipefail
 exe=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 tmp=cli-tmp
@@ -22,6 +24,16 @@ done
 n=$(find "$tmp/cache" -name '*.json' | wc -l)
 if [ "$n" -ne 3 ]; then
   echo "cli: expected 3 sweep cache entries, found $n" >&2
+  exit 1
+fi
+# a cache directory under a regular file cannot be created
+touch "$tmp/file"
+status=0
+"$exe" analyze rspeed01 --cache "$tmp/file/sub" > /dev/null 2> "$tmp/err" || status=$?
+if [ "$status" -ne 2 ] \
+  || ! grep -qx "system error: $tmp/file/sub: Not a directory" "$tmp/err"; then
+  echo "cli: analyze --cache under a file: exit $status, want 2 and a system error" >&2
+  cat "$tmp/err" >&2
   exit 1
 fi
 rm -rf "$tmp"
