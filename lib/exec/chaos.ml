@@ -27,7 +27,10 @@ let default_rates =
 
 type plan =
   | Seeded of { seed : int; rates : rates }
-  | Explicit of { tasks : (int * task_fault) list; ckpt : (int * ckpt_fault) list }
+  | Explicit of {
+      tasks : (int * task_fault) list;
+      ckpt : (int * ckpt_fault) list;
+    }
 
 let seeded ?(rates = default_rates) seed = Seeded { seed; rates }
 

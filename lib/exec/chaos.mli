@@ -61,7 +61,8 @@ val seeded : ?rates:rates -> int -> plan
 (** [explicit faults] — exact placement for tests: an association list
     from task index (position in the pool's fresh-task array) to fault,
     plus optionally from checkpoint-write index to write fault. *)
-val explicit : ?ckpt_faults:(int * ckpt_fault) list -> (int * task_fault) list -> plan
+val explicit :
+  ?ckpt_faults:(int * ckpt_fault) list -> (int * task_fault) list -> plan
 
 (** The seed of a {!seeded} plan; [None] for {!explicit} ones. *)
 val seed : plan -> int option
