@@ -233,8 +233,8 @@ fn main() -> int {
       | Ok r ->
           assert r.Parrun.Guard.identical;
           List.iter
-            (fun (row : Parrun.Guard.calib_row) ->
-              if row.Parrun.Guard.cb_invocations > 0 then begin
+            (fun (row : Report.Calibration.row) ->
+              if row.Report.Calibration.invocations > 0 then begin
                 let fopt = function
                   | None -> "-"
                   | Some f -> Printf.sprintf "%.2fx" f
@@ -242,14 +242,14 @@ fn main() -> int {
                 Report.Table.add_row t
                   [
                     name;
-                    Printf.sprintf "%s:bb%d" row.Parrun.Guard.cb_fname
-                      row.Parrun.Guard.cb_header;
-                    string_of_int row.Parrun.Guard.cb_committed;
-                    string_of_int row.Parrun.Guard.cb_rollbacks;
-                    Printf.sprintf "%.4f" row.Parrun.Guard.cb_serial_s;
-                    Printf.sprintf "%.4f" row.Parrun.Guard.cb_parallel_s;
-                    fopt row.Parrun.Guard.cb_measured;
-                    fopt row.Parrun.Guard.cb_predicted;
+                    Printf.sprintf "%s:bb%d" row.Report.Calibration.fname
+                      row.Report.Calibration.header;
+                    string_of_int row.Report.Calibration.committed;
+                    string_of_int row.Report.Calibration.rollbacks;
+                    Printf.sprintf "%.4f" row.Report.Calibration.serial_s;
+                    Printf.sprintf "%.4f" row.Report.Calibration.parallel_s;
+                    fopt row.Report.Calibration.measured;
+                    fopt row.Report.Calibration.predicted;
                   ];
                 let jf = function
                   | None -> Util.Json.Null
@@ -261,15 +261,20 @@ fn main() -> int {
                       ("target", Util.Json.String name);
                       ( "loop",
                         Util.Json.String
-                          (Printf.sprintf "%s:bb%d" row.Parrun.Guard.cb_fname
-                             row.Parrun.Guard.cb_header) );
-                      ("committed", Util.Json.Int row.Parrun.Guard.cb_committed);
-                      ("rollbacks", Util.Json.Int row.Parrun.Guard.cb_rollbacks);
-                      ("conflicts", Util.Json.Int row.Parrun.Guard.cb_conflicts);
-                      ("serial_s", Util.Json.Float row.Parrun.Guard.cb_serial_s);
-                      ("parallel_s", Util.Json.Float row.Parrun.Guard.cb_parallel_s);
-                      ("measured", jf row.Parrun.Guard.cb_measured);
-                      ("predicted", jf row.Parrun.Guard.cb_predicted);
+                          (Printf.sprintf "%s:bb%d" row.Report.Calibration.fname
+                             row.Report.Calibration.header) );
+                      ( "committed",
+                        Util.Json.Int row.Report.Calibration.committed );
+                      ( "rollbacks",
+                        Util.Json.Int row.Report.Calibration.rollbacks );
+                      ( "conflicts",
+                        Util.Json.Int row.Report.Calibration.conflicts );
+                      ( "serial_s",
+                        Util.Json.Float row.Report.Calibration.serial_s );
+                      ( "parallel_s",
+                        Util.Json.Float row.Report.Calibration.parallel_s );
+                      ("measured", jf row.Report.Calibration.measured);
+                      ("predicted", jf row.Report.Calibration.predicted);
                     ]
                   :: !series
               end)

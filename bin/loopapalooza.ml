@@ -520,33 +520,9 @@ let sweep_cmd =
 
 (* ---- parrun ---- *)
 
-(* guarded parallel execution speaks Parrun.Guard rows; the report layer
-   renders its own plain record — bridge the two *)
-let calib_report_rows rows =
-  List.map
-    (fun (r : Parrun.Guard.calib_row) ->
-      {
-        Report.Calibration.fname = r.Parrun.Guard.cb_fname;
-        lid = r.Parrun.Guard.cb_lid;
-        header = r.Parrun.Guard.cb_header;
-        eligible = r.Parrun.Guard.cb_eligible;
-        why = r.Parrun.Guard.cb_why;
-        invocations = r.Parrun.Guard.cb_invocations;
-        sharded = r.Parrun.Guard.cb_sharded;
-        committed = r.Parrun.Guard.cb_committed;
-        rollbacks = r.Parrun.Guard.cb_rollbacks;
-        conflicts = r.Parrun.Guard.cb_conflicts;
-        quarantined = r.Parrun.Guard.cb_quarantined;
-        serial_s = r.Parrun.Guard.cb_serial_s;
-        parallel_s = r.Parrun.Guard.cb_parallel_s;
-        measured = r.Parrun.Guard.cb_measured;
-        predicted = r.Parrun.Guard.cb_predicted;
-      })
-    rows
-
 let print_parrun_result target (r : Parrun.Guard.result) =
   Printf.printf "== %s ==\n" target;
-  let rows = calib_report_rows r.Parrun.Guard.rows in
+  let rows = r.Parrun.Guard.rows in
   if rows = [] then print_endline "no Proven_doall loops"
   else begin
     print_endline (Report.Calibration.render rows);
@@ -587,8 +563,7 @@ let parrun_result_json target (r : Parrun.Guard.result) : Util.Json.t =
       ("parallel_wall_s", Util.Json.Float r.Parrun.Guard.parallel_wall);
       ( "loops",
         Util.Json.List
-          (List.map Report.Calibration.row_to_json
-             (calib_report_rows r.Parrun.Guard.rows)) );
+          (List.map Report.Calibration.row_to_json r.Parrun.Guard.rows) );
       ( "conflicts",
         Util.Json.List
           (List.map

@@ -337,25 +337,26 @@ let result_of_json j : (result, string) Stdlib.result =
   in
   Ok { target; status; attempts = int_field "attempts" 1; clock = int_field "clock" 0; wall_s }
 
-(* Load the per-target results of an existing checkpoint; damage is never
-   fatal. Instead of per-line log spam, one salvage summary is reported:
-   lines kept, malformed lines skipped, and whether a torn tail (a final
-   fragment without its newline — the signature of a hard kill mid-write)
-   was dropped, so a resume after a crash is auditable at a glance. *)
+(* Load the per-target results of an existing checkpoint for resume;
+   damage is never fatal. Only newline-terminated lines count: whatever
+   follows the last newline is a torn tail (the signature of a hard kill
+   mid-write) and is dropped even when it parses, and cut from the file so
+   appended lines start on a whole-line boundary. Instead of per-line log
+   spam, one salvage summary is reported: lines kept, malformed lines
+   skipped, and whether a torn tail was dropped, so a resume after a crash
+   is auditable at a glance. *)
 let load_checkpoint ~log path : (string, result) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
   if Sys.file_exists path then begin
     let raw = In_channel.with_open_bin path In_channel.input_all in
-    let len = String.length raw in
-    let complete_tail = len = 0 || raw.[len - 1] = '\n' in
-    let segments = String.split_on_char '\n' raw in
-    let last_idx = List.length segments - 1 in
-    let kept = ref 0 and malformed = ref 0 and torn = ref false in
-    List.iteri
-      (fun idx line ->
-        (* the segment after the last newline is the torn tail candidate;
-           with a complete tail it is the empty string and is skipped *)
-        let is_tail = idx = last_idx && not complete_tail in
+    let whole =
+      match String.rindex_opt raw '\n' with Some i -> i + 1 | None -> 0
+    in
+    let torn = whole < String.length raw in
+    (if torn then try Unix.truncate path whole with Unix.Unix_error _ -> ());
+    let kept = ref 0 and malformed = ref 0 in
+    List.iter
+      (fun line ->
         if String.trim line <> "" then
           match Option.bind (Result.to_option (Json.of_string line))
                   (fun j -> Result.to_option (result_of_json j))
@@ -363,15 +364,15 @@ let load_checkpoint ~log path : (string, result) Hashtbl.t =
           | Some r ->
               incr kept;
               Hashtbl.replace tbl r.target r
-          | None -> if is_tail then torn := true else incr malformed)
-      segments;
-    if !malformed > 0 || !torn then
+          | None -> incr malformed)
+      (String.split_on_char '\n' (String.sub raw 0 whole));
+    if !malformed > 0 || torn then
       log
         (Printf.sprintf "checkpoint %s salvage: %d line(s) kept%s%s" path !kept
            (if !malformed > 0 then
               Printf.sprintf ", %d malformed skipped" !malformed
             else "")
-           (if !torn then ", torn tail dropped" else ""))
+           (if torn then ", torn tail dropped" else ""))
     else log (Printf.sprintf "checkpoint %s: %d line(s) kept" path !kept)
   end;
   tbl
@@ -592,6 +593,30 @@ let emit_bundle ~dir ~budgets ~configs ~faults target src
   Repro.Bundle.save path b;
   path
 
+(* ---- one task path ---- *)
+
+(* The whole isolated task, and the only body a task runs through, in a
+   forked worker or in the parent: the test hook, the ["campaign.task"]
+   span around {!run_task}, and — when telemetry is on — the task's raw
+   spans and counter deltas. *)
+let traced_task ?prof_dir ~on_task_start ~budgets ~configs ~faults target src =
+  on_task_start target;
+  let tmark = Obs.Telemetry.mark () in
+  let r, failure =
+    Obs.Telemetry.with_span "campaign.task"
+      ~attrs:[ ("target", target) ]
+      (fun () -> run_task ?prof_dir ~budgets ~configs ~faults target src)
+  in
+  let tele =
+    if Obs.Telemetry.enabled () then Some (Obs.Telemetry.since tmark) else None
+  in
+  (r, failure, tele)
+
+(* An error recorded without a result from the task itself: a lost or
+   timed-out worker, or a scheduled chaos fault realized in the parent. *)
+let errored_result target e =
+  { target; status = Errored e; attempts = 1; clock = 0; wall_s = 0.0 }
+
 (* ---- worker wire codec (Forked executor) ----
 
    A worker ships back its full task outcome in one frame: the checkpoint
@@ -624,40 +649,15 @@ let failure_of_wire j : (Loopa.Driver.failure * int) option =
             (Option.bind (Json.member "fuel" j) Json.to_int) )
   | _ -> None
 
-(* One checkpoint line, built whole and written with a single buffered
-   [output_string] + flush: a crash or interrupt between fragments can
-   never leave an unparseable JSONL tail for --resume to trip on. *)
-let write_line oc j =
-  output_string oc (Json.to_string j ^ "\n");
-  flush oc
-
-(* What the parent remembers about a finished parallel task until its turn
-   in the re-sequenced checkpoint comes up. *)
-type entry = {
-  er : result;
-  eline : Json.t; (* the full checkpoint line, telemetry included *)
-  efail : (Loopa.Driver.failure * int) option;
-}
-
-(* The whole isolated task as a wire frame — the forked worker's body:
-   run it, then ship the result (plus the failure detail and a telemetry
-   snapshot when enabled) back as one JSON object. *)
-let task_to_wire ?prof_dir ~faults ~on_task_start ~budgets ~configs target src =
-  on_task_start target;
-  let tmark = Obs.Telemetry.mark () in
-  let r, failure =
-    Obs.Telemetry.with_span "campaign.task"
-      ~attrs:[ ("target", target) ]
-      (fun () -> run_task ?prof_dir ~budgets ~configs ~faults target src)
-  in
+let task_to_wire (r, failure, tele) =
   let tele =
-    if Obs.Telemetry.enabled () then
-      let spans, ctrs = Obs.Telemetry.since tmark in
-      [
-        ("spans", Json.List (List.map Obs.Export.span_to_json spans));
-        ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
-      ]
-    else []
+    match tele with
+    | Some (spans, ctrs) ->
+        [
+          ("spans", Json.List (List.map Obs.Export.span_to_json spans));
+          ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
+        ]
+    | None -> []
   in
   Json.Obj
     ([ ("r", result_to_json r) ]
@@ -665,6 +665,52 @@ let task_to_wire ?prof_dir ~faults ~on_task_start ~budgets ~configs target src =
       | Some fw -> [ ("f", failure_to_wire fw) ]
       | None -> [])
     @ tele)
+
+let tele_of_wire wire =
+  let spans =
+    match Json.member "spans" wire with
+    | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
+    | _ -> []
+  in
+  let counters =
+    match Json.member "ctr" wire with
+    | Some (Json.Obj kvs) ->
+        List.filter_map
+          (fun (c, v) -> Option.map (fun i -> (c, i)) (Json.to_int v))
+          kvs
+    | _ -> []
+  in
+  (spans, counters)
+
+(* One checkpoint line, built whole and written with a single buffered
+   [output_string] + flush: a crash or interrupt between fragments can
+   never leave an unparseable JSONL tail for --resume to trip on. *)
+let write_line oc j =
+  output_string oc (Json.to_string j ^ "\n");
+  flush oc
+
+(* What the parent keeps about a decided task until its turn in the
+   checkpoint comes up. *)
+type entry = {
+  er : result;
+  eline : Json.t; (* the full checkpoint line, telemetry included *)
+  efail : (Loopa.Driver.failure * int) option;
+  degraded : bool; (* run in the parent after the pool gave up *)
+}
+
+(* [line] is the result's checkpoint object — a worker's is kept verbatim,
+   so parallel checkpoints match serial ones — and [tele] rides along as
+   the task's telemetry snapshot. *)
+let entry ~degraded ~tele line er efail =
+  let eline =
+    match (line, tele) with
+    | Json.Obj fields, Some (spans, counters) ->
+        Json.Obj
+          (fields
+          @ [ ("telemetry", Obs.Export.snapshot_json ~spans ~counters) ])
+    | j, _ -> j
+  in
+  { er; eline; efail; degraded }
 
 let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
     ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
@@ -679,31 +725,17 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
   let oc =
     Option.map
       (fun path ->
-        (* append under --resume so completed work is never discarded;
-           otherwise start the checkpoint over *)
-        if resume then begin
-          (* a hard kill mid-write can leave a torn final fragment with no
-             newline; cut it back to the last whole line, or the first
-             appended line would concatenate onto the fragment and be
-             unreadable on the next resume *)
-          (if Sys.file_exists path then
-             let raw = In_channel.with_open_bin path In_channel.input_all in
-             let len = String.length raw in
-             if len > 0 && raw.[len - 1] <> '\n' then
-               let keep =
-                 match String.rindex_opt raw '\n' with
-                 | Some i -> i + 1
-                 | None -> 0
-               in
-               try Unix.truncate path keep with Unix.Unix_error _ -> ());
+        (* append under --resume so completed work is never discarded
+           (loading cut any torn tail); otherwise start the checkpoint
+           over *)
+        if resume then
           open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 path
-        end
         else open_out path)
       checkpoint
   in
-  (* A SIGINT/SIGTERM only raises a flag; both executors poll it at task
-     granularity, flush what is already decided, and raise {!Interrupted}
-     — the checkpoint is always left whole-line-parseable. *)
+  (* A SIGINT/SIGTERM only raises a flag; the runner polls it at task
+     granularity, flushes what is already decided, and raises
+     {!Interrupted} — the checkpoint is always left whole-line-parseable. *)
   let interrupted = ref false in
   let note _ = interrupted := true in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle note) in
@@ -787,42 +819,22 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                  (Exec.Chaos.ckpt_fault_name f))
         | None -> write_line oc j
       in
-      let lost_result target cause =
-        {
-          target;
-          status = Errored (Worker_lost cause);
-          attempts = 1;
-          clock = 0;
-          wall_s = 0.0;
-        }
-      in
       (* A scheduled lethal chaos fault, realized without forking: when a
-         task with a planned kill/stall/torn/corrupt runs outside the
-         pool (Serial executor, or the degraded tail after the pool gave
-         up), record the outcome the pool would have delivered — same
-         class, byte-identical cause — so checkpoints are deterministic
-         across the Forked/Serial boundary. [k] is the task's index in
-         the fresh (non-resumed) task order, the pool's task array. *)
-      let simulated_result target k =
+         task with a planned kill/stall/torn/corrupt runs in the parent,
+         record the error the pool would have delivered — same class,
+         byte-identical cause — so checkpoints are deterministic across
+         the Forked/Serial boundary. [k] is the task's index in the fresh
+         (non-resumed) task order, the pool's task array. *)
+      let simulated_error k =
         match Option.bind chaos (fun p -> Exec.Chaos.task_fault p k) with
         | None -> None
-        | Some fault -> (
-            let status =
-              match fault with
-              | Exec.Chaos.Stall_self ->
-                  let d =
-                    Option.value ~default:chaos_default_watchdog_s watchdog_s
-                  in
-                  Some (Errored (Task_timeout (timeout_cause d)))
-              | _ ->
-                  Option.map
-                    (fun cause -> Errored (Worker_lost cause))
-                    (Exec.Chaos.simulated_lost_cause fault)
-            in
-            match status with
-            | None -> None
-            | Some status ->
-                Some { target; status; attempts = 1; clock = 0; wall_s = 0.0 })
+        | Some Exec.Chaos.Stall_self ->
+            let d = Option.value ~default:chaos_default_watchdog_s watchdog_s in
+            Some (Task_timeout (timeout_cause d))
+        | Some fault ->
+            Option.map
+              (fun cause -> Worker_lost cause)
+              (Exec.Chaos.simulated_lost_cause fault)
       in
       let emit_repro target src faults failure =
         match (repro_dir, failure) with
@@ -837,7 +849,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
          every fresh (non-resumed) target — in target order, before any
          execution — so hits land in the checkpoint exactly where a
          fresh run would have written them. A hit behaves like a resumed
-         result from here on: both executors skip it, and it does not
+         result from here on: it is never executed, and it does not
          consume an index in the fresh task order chaos plans key on.
          Only the find is delegated; a throwing cache is treated as a
          miss because caching must never be able to fail a campaign. *)
@@ -872,281 +884,176 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                 with _ -> log (Printf.sprintf "%-24s cache store failed" r.target))
             | Errored _ -> ())
       in
-      let run_serial () =
-        let fresh_idx = ref 0 in
-        List.map
-          (fun (target, src) ->
-            match Hashtbl.find_opt done_before target with
-            | Some r ->
-                incr n_resumed;
-                log (Printf.sprintf "%-24s resumed: %s" target (status_to_string r.status));
-                beat ();
-                r
-            | None when Hashtbl.mem cached_tbl target ->
-                (* checkpointed, logged and beaten during the prefetch *)
-                Hashtbl.find cached_tbl target
-            | None -> (
-                if !interrupted then raise Interrupted;
-                let k = !fresh_idx in
-                incr fresh_idx;
-                match simulated_result target k with
-                | Some r ->
-                    Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json r))
-                      oc;
-                    log
-                      (Printf.sprintf "%-24s %s" target
-                         (status_to_string r.status));
-                    beat ();
-                    r
-                | None ->
-                    on_task_start target;
-                    let faults = faults_of target in
-                    let tmark = Obs.Telemetry.mark () in
-                    let r, failure =
-                      Obs.Telemetry.with_span "campaign.task"
-                        ~attrs:[ ("target", target) ]
-                        (fun () ->
-                          run_task ?prof_dir ~budgets ~configs ~faults target
-                            src)
-                    in
-                    let telemetry =
-                      if Obs.Telemetry.enabled () then
-                        let spans, counters = Obs.Telemetry.since tmark in
-                        Some (Obs.Export.snapshot_json ~spans ~counters)
-                      else None
-                    in
-                    Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json ?telemetry r))
-                      oc;
-                    log (Printf.sprintf "%-24s %s" target (status_to_string r.status));
-                    (match r.status with
-                    | Errored _ -> emit_repro target src faults failure
-                    | Completed _ | Truncated _ -> ());
-                    maybe_store r;
-                    beat ();
-                    r))
-          targets
+      (* resumed results surface first (they cost nothing), then the
+         fresh targets run in target order *)
+      List.iter
+        (fun (target, _) ->
+          match Hashtbl.find_opt done_before target with
+          | Some r ->
+              incr n_resumed;
+              log
+                (Printf.sprintf "%-24s resumed: %s" target
+                   (status_to_string r.status));
+              beat ()
+          | None -> ())
+        targets;
+      let fresh =
+        Array.of_list
+          (List.filter
+             (fun (t, _) ->
+               not (Hashtbl.mem done_before t || Hashtbl.mem cached_tbl t))
+             targets)
       in
-      let run_forked jobs =
-        (* resumed results surface first (they cost nothing), then the
-           fresh targets fan out over the pool in target order *)
-        List.iter
-          (fun (target, _) ->
-            match Hashtbl.find_opt done_before target with
-            | Some r ->
-                incr n_resumed;
-                log
-                  (Printf.sprintf "%-24s resumed: %s" target
-                     (status_to_string r.status));
-                beat ()
-            | None -> ())
-          targets;
-        let fresh_arr =
-          Array.of_list
-            (List.filter
-               (fun (t, _) ->
-                 not (Hashtbl.mem done_before t || Hashtbl.mem cached_tbl t))
-               targets)
-        in
-        let n = Array.length fresh_arr in
-        let entries : entry option array = Array.make n None in
-        let written = Array.make n false in
-        (* the worker body: the whole isolated task, exactly as serial.
-           Workers inherit fresh_arr across the fork, so a task's payload
-           is just its index. *)
-        let work payload =
-          let k = Option.value ~default:0 (Json.to_int payload) in
-          let target, src = fresh_arr.(k) in
-          task_to_wire ?prof_dir ~faults:(faults_of target) ~on_task_start
-            ~budgets ~configs target src
-        in
-        let on_complete k outcome =
-          let target, _ = fresh_arr.(k) in
-          let entry =
-            match outcome with
-            | Exec.Pool.Lost cause ->
-                let r = lost_result target cause in
-                { er = r; eline = result_to_json r; efail = None }
-            | Exec.Pool.Timed_out d ->
-                let r =
-                  {
-                    target;
-                    status = Errored (Task_timeout (timeout_cause d));
-                    attempts = 1;
-                    clock = 0;
-                    wall_s = 0.0;
-                  }
-                in
-                { er = r; eline = result_to_json r; efail = None }
-            | Exec.Pool.Done wire ->
-                let r_json =
-                  Option.value ~default:Json.Null (Json.member "r" wire)
-                in
-                let spans =
-                  match Json.member "spans" wire with
-                  | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
-                  | _ -> []
-                in
-                let counters =
-                  match Json.member "ctr" wire with
-                  | Some (Json.Obj kvs) ->
-                      List.filter_map
-                        (fun (c, v) -> Option.map (fun i -> (c, i)) (Json.to_int v))
-                        kvs
-                  | _ -> []
-                in
-                Obs.Telemetry.absorb ~spans ~counters;
-                let telemetry =
-                  if Obs.Telemetry.enabled () then
-                    Some (Obs.Export.snapshot_json ~spans ~counters)
-                  else None
-                in
-                let eline =
-                  match (r_json, telemetry) with
-                  | Json.Obj fields, Some t ->
-                      Json.Obj (fields @ [ ("telemetry", t) ])
-                  | j, _ -> j
-                in
-                let er =
-                  match result_of_json r_json with
-                  | Ok r -> r
-                  | Error m ->
-                      lost_result target ("undecodable worker result: " ^ m)
-                in
-                { er; eline; efail = Option.bind (Json.member "f" wire) failure_of_wire }
-          in
-          entries.(k) <- Some entry;
-          log (Printf.sprintf "%-24s %s" target (status_to_string entry.er.status));
-          maybe_store entry.er;
-          beat ()
-        in
-        let on_ordered k _ =
-          match entries.(k) with
+      let n = Array.length fresh in
+      let entries : entry option array = Array.make n None in
+      (* Whichever process decided a task, its checkpoint line, status
+         line and repro bundle come out in fresh task order: every
+         decision writes the contiguous decided prefix. *)
+      let next = ref 0 in
+      let rec write_ready () =
+        if !next < n then
+          match entries.(!next) with
           | None -> ()
           | Some e ->
+              let target, src = fresh.(!next) in
+              incr next;
               Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-              written.(k) <- true;
-              let target, src = fresh_arr.(k) in
+              log
+                (Printf.sprintf "%-24s %s%s" target
+                   (status_to_string e.er.status)
+                   (if e.degraded then " (degraded)" else ""));
               (match e.er.status with
               | Errored _ -> emit_repro target src (faults_of target) e.efail
-              | Completed _ | Truncated _ -> ())
-        in
-        (* salvage every decided-but-unwritten result (ascending task
-           order): resume can then skip it even though the strict
-           checkpoint order was cut short *)
-        let flush_unwritten () =
-          Array.iteri
-            (fun k e ->
-              match e with
-              | Some e when not written.(k) ->
-                  Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-                  written.(k) <- true
-              | _ -> ())
-            entries
-        in
-        let breaker = Exec.Breaker.create ~threshold:breaker_threshold () in
-        let backoff =
-          (* seeded from the chaos plan when there is one so the whole
-             supervised schedule replays from the campaign's single seed *)
-          Exec.Backoff.create
-            ~seed:(Option.value ~default:0 (Option.bind chaos Exec.Chaos.seed))
-            ()
-        in
-        let _outcomes, stats =
-          Exec.Pool.run ~jobs
-            ~worker_init:(fun () -> Obs.Telemetry.reset ())
-            ~epilogue:(fun () ->
-              if Obs.Telemetry.enabled () then Obs.Telemetry.wire_histograms ()
-              else Json.Null)
-            ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete
-            ~on_ordered
-            ~should_stop:(fun () -> !interrupted)
-            ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~work
-            (Array.init n (fun i -> Json.Int i))
-        in
-        if !interrupted then begin
-          flush_unwritten ();
-          raise Interrupted
-        end;
-        (* Degraded completion: the pool returned early (circuit breaker
-           open, or respawn capacity exhausted) with undecided tasks —
-           the old behavior was to drain them as Lost. Instead, flip
-           Forked -> Serial mid-run: finish every hole in the parent,
-           realizing scheduled chaos losses deterministically, then
-           extend the checkpoint in task order. *)
-        let holes =
-          Array.fold_left
-            (fun acc e -> if Option.is_none e then acc + 1 else acc)
-            0 entries
-        in
-        if holes > 0 then begin
-          (match stats.Exec.Pool.gave_up with
-          | Some cause ->
-              log
-                (Printf.sprintf
-                   "pool gave up (%s): degrading Forked -> Serial for %d \
-                    remaining task(s)"
-                   cause holes)
-          | None ->
-              log
-                (Printf.sprintf
-                   "pool left %d task(s) undecided: finishing serially" holes));
-          Array.iteri
-            (fun k e ->
-              if Option.is_none e then begin
-                if !interrupted then begin
-                  flush_unwritten ();
-                  raise Interrupted
-                end;
-                let target, src = fresh_arr.(k) in
-                incr n_degraded;
-                Obs.Telemetry.incr c_degraded;
-                let entry =
-                  match simulated_result target k with
-                  | Some r -> { er = r; eline = result_to_json r; efail = None }
-                  | None ->
-                      on_task_start target;
-                      let faults = faults_of target in
-                      let tmark = Obs.Telemetry.mark () in
-                      let r, failure =
-                        Obs.Telemetry.with_span "campaign.task"
-                          ~attrs:[ ("target", target) ]
-                          (fun () ->
-                            run_task ~budgets ~configs ~faults target src)
-                      in
-                      let telemetry =
-                        if Obs.Telemetry.enabled () then
-                          let spans, counters = Obs.Telemetry.since tmark in
-                          Some (Obs.Export.snapshot_json ~spans ~counters)
-                        else None
-                      in
-                      { er = r; eline = result_to_json ?telemetry r; efail = failure }
+              | Completed _ | Truncated _ -> ());
+              write_ready ()
+      in
+      let decide k e =
+        entries.(k) <- Some e;
+        write_ready ();
+        maybe_store e.er;
+        beat ()
+      in
+      (* salvage every decided-but-unwritten entry (ascending task
+         order): resume can then skip it even though the strict
+         checkpoint order was cut short *)
+      let interrupt () =
+        for k = !next to n - 1 do
+          Option.iter
+            (fun e -> Option.iter (fun oc -> write_line_checked oc e.eline) oc)
+            entries.(k)
+        done;
+        raise Interrupted
+      in
+      let pool_ran =
+        match executor with
+        | Forked jobs when jobs > 1 ->
+            (* Workers inherit [fresh] across the fork, so a task's
+               payload is just its index. *)
+            let work payload =
+              let target, src =
+                fresh.(Option.value ~default:0 (Json.to_int payload))
+              in
+              task_to_wire
+                (traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                   ~faults:(faults_of target) target src)
+            in
+            let on_complete k outcome =
+              let target, _ = fresh.(k) in
+              let failed e =
+                let r = errored_result target e in
+                entry ~degraded:false ~tele:None (result_to_json r) r None
+              in
+              decide k
+                (match outcome with
+                | Exec.Pool.Lost cause -> failed (Worker_lost cause)
+                | Exec.Pool.Timed_out d ->
+                    failed (Task_timeout (timeout_cause d))
+                | Exec.Pool.Done wire -> (
+                    let spans, counters = tele_of_wire wire in
+                    Obs.Telemetry.absorb ~spans ~counters;
+                    let line =
+                      Option.value ~default:Json.Null (Json.member "r" wire)
+                    in
+                    match result_of_json line with
+                    | Ok r ->
+                        let tele =
+                          if Obs.Telemetry.enabled () then
+                            Some (spans, counters)
+                          else None
+                        in
+                        entry ~degraded:false ~tele line r
+                          (Option.bind (Json.member "f" wire) failure_of_wire)
+                    | Error m ->
+                        failed
+                          (Worker_lost ("undecodable worker result: " ^ m))))
+            in
+            let breaker = Exec.Breaker.create ~threshold:breaker_threshold () in
+            let backoff =
+              (* seeded from the chaos plan when there is one so the whole
+                 supervised schedule replays from the campaign's single seed *)
+              Exec.Backoff.create
+                ~seed:
+                  (Option.value ~default:0 (Option.bind chaos Exec.Chaos.seed))
+                ()
+            in
+            let _outcomes, stats =
+              Exec.Pool.run ~jobs
+                ~worker_init:(fun () -> Obs.Telemetry.reset ())
+                ~epilogue:(fun () ->
+                  if Obs.Telemetry.enabled () then
+                    Obs.Telemetry.wire_histograms ()
+                  else Json.Null)
+                ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete
+                ~should_stop:(fun () -> !interrupted)
+                ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~work
+                (Array.init n (fun i -> Json.Int i))
+            in
+            if !interrupted then interrupt ();
+            (* Degraded completion: the pool returned early (circuit
+               breaker open, or respawn capacity exhausted) with undecided
+               tasks. The loop below flips Forked -> Serial mid-run and
+               finishes them in the parent. *)
+            Option.iter
+              (fun cause ->
+                let holes =
+                  Array.fold_left
+                    (fun acc e -> if Option.is_none e then acc + 1 else acc)
+                    0 entries
                 in
-                entries.(k) <- Some entry;
                 log
-                  (Printf.sprintf "%-24s %s (degraded)" target
-                     (status_to_string entry.er.status));
-                maybe_store entry.er;
-                beat ()
-              end)
-            entries;
-          (* extend the checkpoint in task order past where on_ordered
-             stopped, with repro bundles for the errored stragglers *)
-          Array.iteri
-            (fun k e ->
-              match e with
-              | Some e when not written.(k) ->
-                  Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-                  written.(k) <- true;
-                  let target, src = fresh_arr.(k) in
-                  (match e.er.status with
-                  | Errored _ -> emit_repro target src (faults_of target) e.efail
-                  | Completed _ | Truncated _ -> ())
-              | _ -> ())
-            entries
-        end;
-        let cursor = ref 0 in
+                  (Printf.sprintf
+                     "pool gave up (%s): degrading Forked -> Serial for %d \
+                      remaining task(s)"
+                     cause holes))
+              stats.Exec.Pool.gave_up;
+            true
+        | Serial | Forked _ -> false
+      in
+      (* Every task the pool did not decide runs here, in the parent and
+         in task order; under [Serial] that is every fresh task. *)
+      Array.iteri
+        (fun k e ->
+          if Option.is_none e then begin
+            if !interrupted then interrupt ();
+            if pool_ran then begin
+              incr n_degraded;
+              Obs.Telemetry.incr c_degraded
+            end;
+            let target, src = fresh.(k) in
+            let r, failure, tele =
+              match simulated_error k with
+              | Some e -> (errored_result target e, None, None)
+              | None ->
+                  traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                    ~faults:(faults_of target) target src
+            in
+            decide k
+              (entry ~degraded:pool_ran ~tele (result_to_json r) r failure)
+          end)
+        entries;
+      if !interrupted then raise Interrupted;
+      let cursor = ref 0 in
+      let results =
         List.map
           (fun (target, _) ->
             match Hashtbl.find_opt done_before target with
@@ -1154,20 +1061,13 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
             | None when Hashtbl.mem cached_tbl target ->
                 Hashtbl.find cached_tbl target
             | None -> (
-                let e = entries.(!cursor) in
+                let k = !cursor in
                 incr cursor;
-                match e with
+                match entries.(k) with
                 | Some e -> e.er
-                | None -> lost_result target "task never ran"))
+                | None -> assert false (* the loop above decided every task *)))
           targets
       in
-      let results =
-        match executor with
-        | Forked jobs when jobs > 1 && targets <> [] ->
-            run_forked jobs
-        | Serial | Forked _ -> run_serial ()
-      in
-      if !interrupted then raise Interrupted;
       let count p = List.length (List.filter p results) in
       {
         results;

@@ -118,7 +118,8 @@ type summary = {
           ([cache_find]) without executing *)
   n_degraded : int;
       (** tasks finished serially in the parent after the pool gave up
-          (circuit breaker open or respawn capacity exhausted) *)
+          (circuit breaker open or respawn capacity exhausted); always 0
+          under [Serial] *)
   geomeans : (Loopa.Config.t * float) list;
       (** per config rung, over every task that produced scores *)
   failures : (string * int) list;  (** error class -> count *)
@@ -151,25 +152,28 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     target ({!Interp.Machine.fault_plan}). [repro_dir] makes every errored
     task drop a self-contained {!Repro.Bundle} (named
     [<target>.repro.json]) there, replayable and shrinkable offline with
-    the [repro] CLI subcommands. [log] receives one progress line per
-    task. [prof_dir] attaches a {!Prof.Hotspot} profiler to every task's
-    full-fuel attempt and drops [<target>.folded],
-    [<target>.samples.folded] and [<target>.speedscope.json] there (the
-    reduced-fuel retry is not profiled). [heartbeat] receives one
-    {!heartbeat} beat per finished task;
-    with telemetry enabled, every task also runs inside a
+    the [repro] CLI subcommands. [log] receives one status line per task:
+    cache hits and resumed tasks first, then the fresh tasks in target
+    order, each as its checkpoint line is written. [prof_dir] attaches a
+    {!Prof.Hotspot} profiler to every task's full-fuel attempt and drops
+    [<target>.folded], [<target>.samples.folded] and
+    [<target>.speedscope.json] there (the reduced-fuel retry is not
+    profiled). [heartbeat] receives one {!heartbeat} beat per finished
+    task; with telemetry enabled, every task also runs inside a
     ["campaign.task"] span and its span/counter snapshot is embedded in
     the checkpoint line.
 
-    [executor] selects serial or forked-pool execution. Under
-    [Forked jobs], tasks run across [jobs] worker processes but the
-    checkpoint stays byte-identical to a serial run (modulo wall-clock and
-    telemetry timing fields): results are re-sequenced into task order and
-    written by the parent alone. Worker telemetry (spans, counter deltas,
-    histograms) is absorbed into the parent registry so fleet-wide exports
-    and heartbeats see one registry. A worker death costs exactly its
-    in-flight task ({!Worker_lost}); the worker is respawned and the
-    campaign continues.
+    [executor] selects serial or forked-pool execution. Every task runs
+    through one path: under [Forked jobs] the pool runs tasks across
+    [jobs] worker processes, and every task the pool did not decide runs
+    in the parent, in task order, through the same task body. Under
+    [Serial] the pool decides nothing, so that is every task. Either way
+    the checkpoint is the same (modulo wall-clock and telemetry timing
+    fields): results are put back into task order and written by the
+    parent alone. Worker telemetry (spans, counter deltas, histograms) is
+    absorbed into the parent registry so fleet-wide exports and heartbeats
+    see one registry. A worker death costs exactly its in-flight task
+    ({!Worker_lost}); the worker is respawned and the campaign continues.
 
     [on_task_start] runs in the executing process just before a task
     begins — a test hook (e.g. to kill the worker mid-task).
@@ -180,11 +184,10 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     ladder, and [breaker_threshold] consecutive task failures
     (lost/timed-out) trip a circuit breaker: instead of burning the
     respawn budget, the pool returns early and the runner degrades
-    Forked -> Serial {e mid-run}, finishing every remaining task
-    in-process and extending the same checkpoint in task order
-    ([summary.n_degraded] counts them). The same degradation handles
-    respawn-capacity exhaustion, which previously drained pending tasks
-    as [Worker_lost].
+    Forked -> Serial {e mid-run}: the remaining tasks run in the parent
+    as above, extending the same checkpoint in task order
+    ([summary.n_degraded] counts them). Respawn-capacity exhaustion takes
+    the same path.
 
     [chaos] injects a deterministic fault schedule ({!Exec.Chaos.plan}):
     worker-side faults (self-kill, SIGSTOP stall, torn/corrupt/delayed
@@ -192,16 +195,17 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     EIO/ENOSPC on checkpoint writes keyed by write-attempt index (a
     dropped line is logged and re-run on resume). A chaos plan with no
     watchdog configured forces a default deadline so stall faults cannot
-    hang the run. Under [Serial] (including degraded completion),
-    scheduled lethal faults are {e simulated} — recorded with
-    byte-identical cause strings — so checkpoints stay deterministic
-    across executors and across same-seed runs.
+    hang the run. For tasks run in the parent, scheduled lethal faults
+    are {e simulated} — recorded with byte-identical cause strings — so
+    checkpoints stay deterministic across executors and across same-seed
+    runs.
 
     Checkpoint durability: on completion or interrupt the checkpoint is
-    flushed and [fsync]ed before close; [resume] loading salvages a
-    partially-written file, logging one summary line (lines kept /
-    malformed skipped / torn tail dropped) and truncating a torn tail on
-    disk so appended lines start on a whole-line boundary.
+    flushed and [fsync]ed before close. Only newline-terminated lines
+    count: [resume] loading salvages a partially-written file, logging
+    one summary line (lines kept / malformed skipped / torn tail dropped),
+    and truncates whatever follows the last newline on disk, even when
+    it parses, so appended lines start on a whole-line boundary.
 
     Caching. [cache_find] is consulted once per fresh (non-resumed)
     target, in target order and before any execution; a hit is

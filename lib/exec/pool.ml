@@ -262,8 +262,8 @@ let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
       }
 
 let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
-    ?on_ordered ?(should_stop = fun () -> false) ?task_deadline_s ?backoff
-    ?breaker ?chaos ~work (tasks : Json.t array) :
+    ?(should_stop = fun () -> false) ?task_deadline_s ?backoff ?breaker ?chaos
+    ~work (tasks : Json.t array) :
     outcome option array * stats =
   let n = Array.length tasks in
   let outcomes : outcome option array = Array.make n None in
@@ -278,7 +278,6 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       Queue.add i pending
     done;
     let decided = ref 0 in
-    let next_ordered = ref 0 in
     let forked = ref 0 in
     let respawned = ref 0 in
     let steals = ref 0 in
@@ -324,21 +323,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         | Done _ ->
             Backoff.reset backoff;
             Option.iter Breaker.record_success breaker);
-        Option.iter (fun f -> f i o) on_complete;
-        match on_ordered with
-        | None -> ()
-        | Some f ->
-            let rec flush_prefix () =
-              if !next_ordered < n then
-                match outcomes.(!next_ordered) with
-                | Some o' ->
-                    let i' = !next_ordered in
-                    incr next_ordered;
-                    f i' o';
-                    flush_prefix ()
-                | None -> ()
-            in
-            flush_prefix ()
+        Option.iter (fun f -> f i o) on_complete
       end
     in
     let respawn_now (w : worker) =

@@ -53,11 +53,11 @@
     delayed completion), exercising exactly the failure paths above with
     placement that is a pure function of the seed.
 
-    {b Determinism.} Results complete in any order; [on_ordered] replays
-    them to the caller in task-index order as the contiguous completed
-    prefix grows, which is what lets a caller with an append-only output
-    (the campaign's JSONL checkpoint) stay byte-deterministic regardless
-    of scheduling. *)
+    {b Determinism.} Results complete in any order and [on_complete]
+    reports them in that order; each outcome carries its task index, and
+    putting results back in task order is the caller's job (the campaign
+    runner writes its JSONL checkpoint over the contiguous decided
+    prefix). *)
 
 type outcome =
   | Done of Util.Json.t  (** the worker's result payload *)
@@ -99,9 +99,8 @@ val detect_jobs : unit -> int
     fresh worker before any task (e.g. to reset inherited telemetry).
     [epilogue] runs in the worker at clean shutdown and its payload is
     delivered to [on_epilogue] in the parent — the channel for end-of-life
-    aggregates like histogram state. [on_complete] fires in completion
-    order (live progress); [on_ordered] fires in task order over the
-    contiguous completed prefix. [should_stop] is polled between
+    aggregates like histogram state. [on_complete] fires once per
+    decided task, in completion order. [should_stop] is polled between
     scheduling steps; when it turns true the pool kills its workers and
     returns with the undecided outcomes still [None].
 
@@ -123,7 +122,6 @@ val run :
   ?epilogue:(unit -> Util.Json.t) ->
   ?on_epilogue:(Util.Json.t -> unit) ->
   ?on_complete:(int -> outcome -> unit) ->
-  ?on_ordered:(int -> outcome -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?task_deadline_s:float ->
   ?backoff:Backoff.t ->

@@ -8,31 +8,13 @@ type run_outcome =
   | Finished of Machine.outcome
   | Trapped of { msg : string; clock : int; output : string }
 
-type calib_row = {
-  cb_fname : string;
-  cb_lid : int;
-  cb_header : int;
-  cb_eligible : bool;
-  cb_why : string;
-  cb_invocations : int;
-  cb_sharded : int;
-  cb_committed : int;
-  cb_rollbacks : int;
-  cb_conflicts : int;
-  cb_quarantined : bool;
-  cb_serial_s : float;
-  cb_parallel_s : float;
-  cb_measured : float option;
-  cb_predicted : float option;
-}
-
 type result = {
   target : string;
   serial : run_outcome;
   parallel : run_outcome;
   identical : bool;
   diffs : string list;
-  rows : calib_row list;
+  rows : Report.Calibration.row list;
   runner : Runner.t;
   serial_wall : float;
   parallel_wall : float;
@@ -213,7 +195,8 @@ let predicted_speedups (ms : Loopa.Classify.module_static) ~fuel :
 let build_rows (ms : Loopa.Classify.module_static) runner
     (serial_walls : (string * int, float) Hashtbl.t)
     (par_walls : (string * int, float) Hashtbl.t)
-    (predicted : (string * int, float) Hashtbl.t) : calib_row list =
+    (predicted : (string * int, float) Hashtbl.t) :
+    Report.Calibration.row list =
   let stats = Runner.loop_stats runner in
   let stat_for key =
     List.find_opt
@@ -253,21 +236,21 @@ let build_rows (ms : Loopa.Classify.module_static) runner
         else None
       in
       {
-        cb_fname = fname;
-        cb_lid = lid;
-        cb_header = header_of key;
-        cb_eligible = eligible;
-        cb_why = why;
-        cb_invocations = get (fun s -> s.Runner.st_invocations);
-        cb_sharded = get (fun s -> s.Runner.st_sharded);
-        cb_committed = committed;
-        cb_rollbacks = get (fun s -> s.Runner.st_rollbacks);
-        cb_conflicts = get (fun s -> s.Runner.st_conflicts);
-        cb_quarantined = quarantined;
-        cb_serial_s = serial_s;
-        cb_parallel_s = parallel_s;
-        cb_measured = measured;
-        cb_predicted = Hashtbl.find_opt predicted key;
+        Report.Calibration.fname;
+        lid;
+        header = header_of key;
+        eligible;
+        why;
+        invocations = get (fun s -> s.Runner.st_invocations);
+        sharded = get (fun s -> s.Runner.st_sharded);
+        committed;
+        rollbacks = get (fun s -> s.Runner.st_rollbacks);
+        conflicts = get (fun s -> s.Runner.st_conflicts);
+        quarantined;
+        serial_s;
+        parallel_s;
+        measured;
+        predicted = Hashtbl.find_opt predicted key;
       })
     (Runner.eligibility runner)
 

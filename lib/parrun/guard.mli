@@ -11,38 +11,13 @@ type run_outcome =
   | Finished of Interp.Machine.outcome
   | Trapped of { msg : string; clock : int; output : string }
 
-(** One calibration line per [Proven_doall] loop (eligible or not). *)
-type calib_row = {
-  cb_fname : string;
-  cb_lid : int;
-  cb_header : int;
-  cb_eligible : bool;
-  cb_why : string;  (** ineligibility reason, [""] when eligible *)
-  cb_invocations : int;
-  cb_sharded : int;
-  cb_committed : int;
-  cb_rollbacks : int;
-  cb_conflicts : int;
-  cb_quarantined : bool;
-  cb_serial_s : float;  (** wall seconds in the serial pass *)
-  cb_parallel_s : float;
-      (** wall seconds in the parallel pass: delegate time (sharding,
-          commit, failed attempts) plus serial fallback time *)
-  cb_measured : float option;
-      (** serial/parallel wall ratio, only when at least one invocation
-          committed and both walls are positive *)
-  cb_predicted : float option;
-      (** the cost model's DOALL speedup for this loop
-          ([reduc1-dep0-fn1 DOALL] serial/final cost ratio) *)
-}
-
 type result = {
   target : string;
   serial : run_outcome;
   parallel : run_outcome;
   identical : bool;  (** byte-identical outcomes (floats compared bitwise) *)
   diffs : string list;  (** human-readable divergence descriptions *)
-  rows : calib_row list;  (** sorted by (fname, lid) *)
+  rows : Report.Calibration.row list;  (** sorted by (fname, lid) *)
   runner : Runner.t;
       (** the parallel pass's runner: conflicts, quarantine, loop stats *)
   serial_wall : float;  (** whole-program wall seconds, serial pass *)

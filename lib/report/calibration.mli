@@ -4,6 +4,7 @@
     actually measured. The parrun layer fills in the rows; this module only
     formats them, so the report library stays independent of the runtime. *)
 
+(** One calibration line per [Proven_doall] loop (eligible or not). *)
 type row = {
   fname : string;
   lid : int;
@@ -16,10 +17,16 @@ type row = {
   rollbacks : int;
   conflicts : int;
   quarantined : bool;
-  serial_s : float;
+  serial_s : float;  (** wall seconds in the serial pass *)
   parallel_s : float;
-  measured : float option;  (** measured parallel speedup *)
-  predicted : float option;  (** cost-model DOALL speedup *)
+      (** wall seconds in the parallel pass: delegate time (sharding,
+          commit, failed attempts) plus serial fallback time *)
+  measured : float option;
+      (** serial/parallel wall ratio, only when at least one invocation
+          committed and both walls are positive *)
+  predicted : float option;
+      (** the cost model's DOALL speedup for this loop
+          ([reduc1-dep0-fn1 DOALL] serial/final cost ratio) *)
 }
 
 (** Aligned text table, one row per loop, with a trailing ratio column

@@ -347,6 +347,22 @@ let test_interrupt_flushes_and_resumes () =
       Alcotest.(check int) "two resumed" 2 s.Runner.n_resumed;
       Alcotest.(check int) "all completed" 3 s.Runner.n_completed)
 
+(* A serial checkpoint line reaches the disk as soon as its task is
+   decided, not at the end of the run: each task start sees the lines of
+   every task before it. *)
+let test_serial_lines_written_as_decided () =
+  with_tmp (fun ck ->
+      let seen = ref [] in
+      let count_lines _ =
+        seen := List.length (normalized_lines ck) :: !seen
+      in
+      ignore
+        (Runner.run ~budgets:(budgets ()) ~checkpoint:ck ~log:quiet
+           ~on_task_start:count_lines
+           [ ("a", good_src); ("b", good_src); ("c", good_src) ]);
+      Alcotest.(check (list int)) "lines on disk at each task start" [ 0; 1; 2 ]
+        (List.rev !seen))
+
 (* ---- acceptance: truncated profiles stay scorable and sound ---- *)
 
 let test_truncated_profile_scorable () =
@@ -397,6 +413,8 @@ let () =
           Alcotest.test_case "worker-lost codec" `Quick test_worker_lost_codec;
           Alcotest.test_case "interrupt flushes and resumes" `Quick
             test_interrupt_flushes_and_resumes;
+          Alcotest.test_case "serial lines written as decided" `Quick
+            test_serial_lines_written_as_decided;
         ] );
       ( "degradation",
         [

@@ -141,6 +141,39 @@ let test_breaker_degrades_forked_to_serial () =
       Alcotest.(check int) "checkpoint is complete" n
         (List.length (checkpoint_lines ckpt)))
 
+(* The tasks finished in the parent after the pool gave up run through the
+   same task body as the workers' tasks, so --profile-dir still yields one
+   flamegraph per full-fuel attempt. *)
+let test_degraded_tasks_are_profiled () =
+  let n = 10 in
+  let dir = Filename.temp_file "chaos-prof-" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () ->
+      let plan = Chaos.explicit (List.init 4 (fun i -> (i, Chaos.Kill_self))) in
+      let s =
+        Runner.run ~budgets:(budgets ()) ~log:quiet ~prof_dir:dir
+          ~executor:(Runner.Forked 2) ~chaos:plan ~breaker_threshold:2 (named n)
+      in
+      Alcotest.(check bool) "some tasks finished after degradation" true
+        (s.Runner.n_degraded >= 1);
+      List.iter
+        (fun (r : Runner.result) ->
+          match r.Runner.status with
+          | Runner.Completed _ ->
+              let folded = Filename.concat dir (r.Runner.target ^ ".folded") in
+              Alcotest.(check bool) (folded ^ " written") true
+                (Sys.file_exists folded)
+          | _ -> ())
+        s.Runner.results)
+
 (* ---- same seed, same bytes ---- *)
 
 let test_same_seed_byte_identical_checkpoints () =
@@ -277,6 +310,42 @@ let test_torn_tail_salvage_on_resume () =
           | Error e -> Alcotest.failf "unparseable checkpoint line (%s): %s" e l)
         lines)
 
+(* Only newline-terminated lines count: a final line that parses but lost
+   its newline is still a torn tail, dropped and cut, so its task re-runs
+   and the file ends holding every target once. *)
+let test_unterminated_final_line_dropped () =
+  let n = 3 in
+  with_tmp (fun ckpt ->
+      ignore
+        (Runner.run ~budgets:(budgets ()) ~checkpoint:ckpt ~log:quiet
+           (named 2));
+      let raw = In_channel.with_open_bin ckpt In_channel.input_all in
+      Out_channel.with_open_bin ckpt (fun oc ->
+          output_string oc (String.sub raw 0 (String.length raw - 1)));
+      let logs = ref [] in
+      let s =
+        Runner.run ~budgets:(budgets ()) ~checkpoint:ckpt ~resume:true
+          ~log:(fun m -> logs := m :: !logs)
+          (named n)
+      in
+      Alcotest.(check bool) "salvage is reported" true
+        (List.exists (fun m -> contains m "torn tail dropped") !logs);
+      Alcotest.(check int) "only the terminated line restored" 1
+        s.Runner.n_resumed;
+      let targets =
+        List.map
+          (fun l ->
+            match
+              Option.bind (Result.to_option (J.of_string l)) (J.member "target")
+            with
+            | Some (J.String t) -> t
+            | _ -> Alcotest.failf "unparseable checkpoint line: %s" l)
+          (checkpoint_lines ckpt)
+      in
+      Alcotest.(check (list string)) "every target exactly once"
+        [ "t00"; "t01"; "t02" ]
+        (List.sort compare targets))
+
 (* ---- shard-scoped fault plans (guarded parallel loop execution) ---- *)
 
 let test_shard_plan_lookup_and_summary () =
@@ -365,6 +434,8 @@ let () =
         [
           Alcotest.test_case "Forked degrades to Serial mid-run" `Quick
             test_breaker_degrades_forked_to_serial;
+          Alcotest.test_case "degraded tasks are profiled" `Quick
+            test_degraded_tasks_are_profiled;
         ] );
       ( "determinism",
         [
@@ -388,5 +459,7 @@ let () =
             test_chaos_under_resume_converges;
           Alcotest.test_case "torn tail salvaged and truncated" `Quick
             test_torn_tail_salvage_on_resume;
+          Alcotest.test_case "unterminated final line is a torn tail" `Quick
+            test_unterminated_final_line_dropped;
         ] );
     ]
