@@ -105,33 +105,40 @@ let handle_errors f =
       f ();
       0)
 
-(* ---- telemetry flags (analyze / sweep / campaign) ---- *)
+(* ---- telemetry flags (analyze / sweep / parrun / campaign) ---- *)
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record pipeline telemetry and write a Chrome trace-event JSON of \
-           every span to $(docv); load it in chrome://tracing or Perfetto.")
+type telemetry = { trace : string option; metrics : bool; prom : string option }
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Record pipeline telemetry and print the metrics dump (span tree, \
-           counters, histograms) after the run.")
-
-let prom_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom" ] ~docv:"FILE"
-        ~doc:
-          "Record pipeline telemetry and write a Prometheus-style text dump \
-           of counters, histograms and span aggregates to $(docv).")
+let telemetry_term =
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record pipeline telemetry and write a Chrome trace-event JSON of \
+             every span to $(docv); load it in chrome://tracing or Perfetto.")
+  in
+  let metrics =
+    Arg.(
+      value & flag
+      & info [ "metrics" ]
+          ~doc:
+            "Record pipeline telemetry and print the metrics dump (span tree, \
+             counters, histograms) after the run.")
+  in
+  let prom =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "prom" ] ~docv:"FILE"
+          ~doc:
+            "Record pipeline telemetry and write a Prometheus-style text dump \
+             of counters, histograms and span aggregates to $(docv).")
+  in
+  Term.(
+    const (fun trace metrics prom -> { trace; metrics; prom })
+    $ trace $ metrics $ prom)
 
 (* ---- parallelism (campaign / chaos) ---- *)
 
@@ -140,9 +147,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run tasks across $(docv) forked worker processes with dynamic \
-           work-stealing; 0 means one per detected core. Results (and the \
-           campaign checkpoint) are identical to a serial run.")
+          "Run tasks across $(docv) forked worker processes, handing each \
+           idle worker the next task; 0 means one per detected core. Results \
+           (and the campaign checkpoint) are identical to a serial run.")
 
 let resolve_jobs jobs =
   if jobs < 0 then
@@ -167,7 +174,7 @@ let cache_arg =
 (* Enable recording iff any exporter was requested, and export on the way
    out even when the body fails — the trace of a failed pipeline is exactly
    the thing worth looking at. *)
-let with_telemetry ~trace ~metrics ~prom f =
+let with_telemetry { trace; metrics; prom } f =
   if trace = None && (not metrics) && prom = None then f ()
   else begin
     Obs.Telemetry.enable ();
@@ -387,9 +394,9 @@ let sample_period_arg =
 
 let analyze_cmd =
   let run target config fuel loops optimize static_dep profile sample_period
-      cache trace metrics prom =
+      cache telemetry =
     handle_errors (fun () ->
-        with_telemetry ~trace ~metrics ~prom (fun () ->
+        with_telemetry telemetry (fun () ->
             let source = read_program target in
             (* --static-dep and --profile add output the cached entry does
                not cover; they bypass the cache rather than truncate it *)
@@ -444,8 +451,8 @@ let analyze_cmd =
        ~doc:"Run the limit study on a program under one configuration.")
     Term.(
       const run $ target_arg $ config_arg $ fuel_arg $ loops_arg $ optimize_arg
-      $ static_dep_arg $ profile_arg $ sample_period_arg $ cache_arg $ trace_arg
-      $ metrics_arg $ prom_arg)
+      $ static_dep_arg $ profile_arg $ sample_period_arg $ cache_arg
+      $ telemetry_term)
 
 (* ---- sweep ---- *)
 
@@ -458,9 +465,9 @@ let sweep_row (r : Loopa.Evaluate.report) =
   ]
 
 let sweep_cmd =
-  let run target fuel cache serve trace metrics prom =
+  let run target fuel cache serve telemetry =
     handle_errors (fun () ->
-        with_telemetry ~trace ~metrics ~prom (fun () ->
+        with_telemetry telemetry (fun () ->
         with_serve serve (fun srv ->
             let sweep_status state =
               Util.Json.Obj
@@ -515,8 +522,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
     Term.(
-      const run $ target_arg $ fuel_arg $ cache_arg $ serve_arg $ trace_arg
-      $ metrics_arg $ prom_arg)
+      const run $ target_arg $ fuel_arg $ cache_arg $ serve_arg
+      $ telemetry_term)
 
 (* ---- parrun ---- *)
 
@@ -582,9 +589,9 @@ let parrun_result_json target (r : Parrun.Guard.result) : Util.Json.t =
 
 let parrun_cmd =
   let run targets all fuel jobs min_trip quarantine_path repro_dir watchdog
-      chaos_seed no_predict fail_on_quarantine json serve trace metrics prom =
+      chaos_seed no_predict fail_on_quarantine json serve telemetry =
     handle_errors_int (fun () ->
-        with_telemetry ~trace ~metrics ~prom (fun () ->
+        with_telemetry telemetry (fun () ->
         with_serve serve (fun srv ->
             let targets =
               if all then Suites.Suite.names ()
@@ -756,7 +763,7 @@ let parrun_cmd =
       const run $ targets_arg $ all_arg $ fuel_arg $ par_jobs_arg $ min_trip_arg
       $ quarantine_arg $ repro_dir_arg $ watchdog_arg $ chaos_seed_arg
       $ no_predict_arg $ fail_on_quarantine_arg $ json_arg $ serve_arg
-      $ trace_arg $ metrics_arg $ prom_arg)
+      $ telemetry_term)
 
 (* ---- campaign ---- *)
 
@@ -884,7 +891,7 @@ let campaign_cmd =
              $(i,target).speedscope.json flamegraph files in $(docv).")
   in
   let run targets all json checkpoint resume retries fuel wall watchdog injects
-      repro_dir profile_dir jobs cache serve trace metrics prom =
+      repro_dir profile_dir jobs cache serve telemetry =
     handle_errors (fun () ->
         if (not all) && targets = [] then
           raise (Invalid_argument "campaign needs TARGETS or --all");
@@ -925,7 +932,7 @@ let campaign_cmd =
           }
         in
         let log = if json then fun _ -> () else prerr_endline in
-        with_telemetry ~trace ~metrics ~prom (fun () ->
+        with_telemetry telemetry (fun () ->
         with_serve serve (fun srv ->
             (* a live progress line rides along whenever telemetry is on
                (and the summary is not being parsed off stdout as JSON);
@@ -1005,7 +1012,7 @@ let campaign_cmd =
       const run $ targets_arg $ all_arg $ json_arg $ checkpoint_arg $ resume_arg
       $ retries_arg $ fuel_arg $ wall_arg $ watchdog_arg $ inject_arg
       $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ serve_arg
-      $ trace_arg $ metrics_arg $ prom_arg)
+      $ telemetry_term)
 
 (* ---- chaos ---- *)
 

@@ -622,8 +622,9 @@ let errored_result target e =
    A worker ships back its full task outcome in one frame: the checkpoint
    result object ("r", written by the parent byte-for-byte so parallel
    checkpoints match serial ones), the classified failure for repro-bundle
-   emission ("f"), and — when telemetry is on — the raw spans and counter
-   deltas of the task ("spans"/"ctr") for the parent to absorb. *)
+   emission ("f"), and — when telemetry is on — the raw spans, counter
+   deltas and histograms of the task ("spans"/"ctr"/"hist") for the
+   parent to absorb. *)
 
 let failure_to_wire ((f : Loopa.Driver.failure), fuel) =
   Json.Obj
@@ -656,6 +657,7 @@ let task_to_wire (r, failure, tele) =
         [
           ("spans", Json.List (List.map Obs.Export.span_to_json spans));
           ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
+          ("hist", Obs.Telemetry.wire_histograms ());
         ]
     | None -> []
   in
@@ -666,7 +668,9 @@ let task_to_wire (r, failure, tele) =
       | None -> [])
     @ tele)
 
-let tele_of_wire wire =
+(* Splice a worker's task telemetry into the parent registry; returns the
+   spans and counter deltas for the task's checkpoint line. *)
+let absorb_wire wire =
   let spans =
     match Json.member "spans" wire with
     | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
@@ -680,6 +684,8 @@ let tele_of_wire wire =
           kvs
     | _ -> []
   in
+  Obs.Telemetry.absorb ~spans ~counters;
+  Option.iter Obs.Telemetry.absorb_histograms (Json.member "hist" wire);
   (spans, counters)
 
 (* One checkpoint line, built whole and written with a single buffered
@@ -948,8 +954,11 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
         match executor with
         | Forked jobs when jobs > 1 ->
             (* Workers inherit [fresh] across the fork, so a task's
-               payload is just its index. *)
+               payload is just its index. The registry is reset first, so
+               the reply carries this task's telemetry alone, and a worker
+               that dies later loses nothing already delivered. *)
             let work payload =
+              Obs.Telemetry.reset ();
               let target, src =
                 fresh.(Option.value ~default:0 (Json.to_int payload))
               in
@@ -969,8 +978,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                 | Exec.Pool.Timed_out d ->
                     failed (Task_timeout (timeout_cause d))
                 | Exec.Pool.Done wire -> (
-                    let spans, counters = tele_of_wire wire in
-                    Obs.Telemetry.absorb ~spans ~counters;
+                    let spans, counters = absorb_wire wire in
                     let line =
                       Option.value ~default:Json.Null (Json.member "r" wire)
                     in
@@ -997,13 +1005,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                 ()
             in
             let _outcomes, stats =
-              Exec.Pool.run ~jobs
-                ~worker_init:(fun () -> Obs.Telemetry.reset ())
-                ~epilogue:(fun () ->
-                  if Obs.Telemetry.enabled () then
-                    Obs.Telemetry.wire_histograms ()
-                  else Json.Null)
-                ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete
+              Exec.Pool.run ~jobs ~on_complete
                 ~should_stop:(fun () -> !interrupted)
                 ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~work
                 (Array.init n (fun i -> Json.Int i))

@@ -25,8 +25,9 @@ type error =
           resume skips it rather than re-running a known-hung task *)
 
 (** How tasks are executed: [Serial] in-process (the reference semantics),
-    or [Forked jobs] across a {!Exec.Pool} of forked workers with dynamic
-    work-stealing. [Forked j] with [j <= 1] degrades to [Serial]. *)
+    or [Forked jobs] across a {!Exec.Pool} of forked workers, each handed
+    the next task whenever it is idle. [Forked j] with [j <= 1] degrades
+    to [Serial]. *)
 type executor = Serial | Forked of int
 
 (** Raised by {!run} after a SIGINT/SIGTERM: every already-decided result
@@ -170,9 +171,11 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     [Serial] the pool decides nothing, so that is every task. Either way
     the checkpoint is the same (modulo wall-clock and telemetry timing
     fields): results are put back into task order and written by the
-    parent alone. Worker telemetry (spans, counter deltas, histograms) is
-    absorbed into the parent registry so fleet-wide exports and heartbeats
-    see one registry. A worker death costs exactly its in-flight task
+    parent alone. A worker resets its telemetry at the start of every
+    task and ships that task's spans, counter deltas and histograms with
+    its result; the parent absorbs them into its registry, so fleet-wide
+    exports and heartbeats see one registry, and a worker that dies later
+    loses none of the tasks it delivered. A worker death costs exactly its in-flight task
     ({!Worker_lost}); the worker is respawned and the campaign continues.
 
     [on_task_start] runs in the executing process just before a task

@@ -11,10 +11,10 @@
     from that one integer.
 
     Injection points (threaded through {!Pool} and the campaign runner):
-    a worker-side hook fires the task fault {i after} the "start"
-    announcement (so the parent's watchdog sees the in-flight task), and
-    the runner's checkpoint writer consults {!ckpt_fault} per appended
-    line. *)
+    a worker-side hook fires the task fault once the task's frame has
+    arrived (the parent marked the task running when it sent it, so its
+    watchdog sees the in-flight task), and the runner's checkpoint writer
+    consults {!ckpt_fault} per appended line. *)
 
 type task_fault =
   | Kill_self  (** worker SIGKILLs itself — parent sees a dead worker *)

@@ -1,12 +1,10 @@
-(* Fork-based worker pool with chunked dispatch, work-stealing, reaping
+(* Fork-based worker pool handing out one task at a time, with reaping
    and supervised respawn (see the .mli for the contract). The parent
-   owns the queue and all bookkeeping; workers are a dumb loop: read a
-   chunk, announce each task ("start"), run it, report ("done"/"fail"),
-   hand unstarted tasks back when asked ("steal" -> "stolen"), and send
-   an epilogue ("bye") on "quit". One pipe pair per worker; frames via
-   Exec.Ipc.
+   owns the queue and all bookkeeping; a worker is a dumb loop: read one
+   task frame, run it, reply "done" or "fail", and exit on EOF. One pipe
+   pair per worker; frames via Exec.Ipc.
 
-   Supervision: a watchdog SIGKILLs any worker whose announced task
+   Supervision: a watchdog SIGKILLs and reaps any worker whose task
    outlives the per-task wall deadline (the task is delivered as
    Timed_out, never Lost); respawns are scheduled through an
    exponential-backoff ladder instead of happening instantly; and a
@@ -25,7 +23,6 @@ type outcome =
 type stats = {
   forked : int;
   respawned : int;
-  steals : int;
   tasks_lost : int;
   timeouts : int;
   backoff_waits : int;
@@ -38,7 +35,6 @@ let zero_stats =
   {
     forked = 0;
     respawned = 0;
-    steals = 0;
     tasks_lost = 0;
     timeouts = 0;
     backoff_waits = 0;
@@ -58,11 +54,9 @@ let c_breaker_trips = Obs.Telemetry.counter "pool.breaker_trips"
 
 (* ---- small wire helpers ---- *)
 
-let obj_op j = Option.bind (Json.member "op" j) Json.to_str
-
 let obj_int k j = Option.bind (Json.member k j) Json.to_int
 
-let msg_start i = Json.Obj [ ("op", Json.String "start"); ("i", Json.Int i) ]
+let msg_task i t = Json.Obj [ ("i", Json.Int i); ("t", t) ]
 
 let msg_done i r =
   Json.Obj [ ("op", Json.String "done"); ("i", Json.Int i); ("r", r) ]
@@ -70,30 +64,6 @@ let msg_done i r =
 let msg_fail i m =
   Json.Obj
     [ ("op", Json.String "fail"); ("i", Json.Int i); ("msg", Json.String m) ]
-
-let msg_stolen is =
-  Json.Obj
-    [
-      ("op", Json.String "stolen");
-      ("is", Json.List (List.map (fun i -> Json.Int i) is));
-    ]
-
-let msg_bye e = Json.Obj [ ("op", Json.String "bye"); ("e", e) ]
-
-let msg_chunk tasks =
-  Json.Obj
-    [
-      ("op", Json.String "chunk");
-      ( "tasks",
-        Json.List
-          (List.map
-             (fun (i, t) -> Json.Obj [ ("i", Json.Int i); ("t", t) ])
-             tasks) );
-    ]
-
-let msg_steal = Json.Obj [ ("op", Json.String "steal") ]
-
-let msg_quit = Json.Obj [ ("op", Json.String "quit") ]
 
 (* Human-readable death causes. OCaml signal numbers are its own encoding,
    so translate the ones a worker plausibly dies from. *)
@@ -117,57 +87,17 @@ let rec reap pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> "worker already reaped"
 
-let fd_readable ?(timeout = 0.0) fd =
-  match Unix.select [ fd ] [] [] timeout with
-  | r, _, _ -> r <> []
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
 (* ---- the worker loop ---- *)
 
-let worker_loop rd wr ~work ~epilogue ~chaos =
-  let pending : (int * Json.t) Queue.t = Queue.create () in
+let worker_loop rd wr ~work ~chaos =
   let send j =
     try Ipc.write wr j
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> Unix._exit 1
   in
-  let bye () =
-    let e = match epilogue with Some f -> f () | None -> Json.Null in
-    send (msg_bye e);
-    Unix._exit 0
-  in
-  let handle j =
-    match obj_op j with
-    | Some "chunk" ->
-        List.iter
-          (fun t ->
-            match (obj_int "i" t, Json.member "t" t) with
-            | Some i, Some payload -> Queue.add (i, payload) pending
-            | _ -> ())
-          (Option.value ~default:[]
-             (Option.bind (Json.member "tasks" j) Json.to_list))
-    | Some "steal" ->
-        (* Give back everything unstarted except one task to stay busy on;
-           an idle worker (empty queue) replies with nothing. *)
-        if Queue.length pending >= 2 then begin
-          let keep = Queue.pop pending in
-          let given = Queue.fold (fun acc (i, _) -> i :: acc) [] pending in
-          Queue.clear pending;
-          Queue.add keep pending;
-          send (msg_stolen (List.rev given))
-        end
-        else send (msg_stolen [])
-    | Some "quit" -> bye ()
-    | _ -> ()
-  in
-  let read_one () =
-    match Ipc.read rd with
-    | Ipc.Eof -> Unix._exit 1 (* parent died *)
-    | Ipc.Msg j -> handle j
-    | exception Ipc.Protocol_error _ -> Unix._exit 1
-  in
-  (* Chaos injection, after the "start" announcement so the parent knows
-     which task the sabotage lands on (and the watchdog can see a
-     stall). Lethal faults never return. Returns a completion delay. *)
+  (* Chaos injection, once the task frame has arrived: the parent marked
+     the task running when it sent it, so the sabotage lands on a task it
+     knows about (and the watchdog can see a stall). Lethal faults never
+     return. Returns a completion delay. *)
   let sabotage i =
     match Option.bind chaos (fun plan -> Chaos.task_fault plan i) with
     | None -> 0.0
@@ -189,23 +119,19 @@ let worker_loop rd wr ~work ~epilogue ~chaos =
     | Some (Chaos.Delay_result d) -> d
   in
   while true do
-    if Queue.is_empty pending then read_one ()
-    else begin
-      (* between tasks, drain any control traffic (steal/quit) first *)
-      while (not (Queue.is_empty pending)) && fd_readable rd do
-        read_one ()
-      done;
-      match Queue.take_opt pending with
-      | None -> ()
-      | Some (i, payload) -> (
-          send (msg_start i);
-          let delay = sabotage i in
-          match work payload with
-          | r ->
-              if delay > 0.0 then Unix.sleepf delay;
-              send (msg_done i r)
-          | exception e -> send (msg_fail i (Printexc.to_string e)))
-    end
+    match Ipc.read rd with
+    | Ipc.Eof -> Unix._exit 0 (* the parent closed the task pipe, or died *)
+    | exception Ipc.Protocol_error _ -> Unix._exit 1
+    | Ipc.Msg j -> (
+        match (obj_int "i" j, Json.member "t" j) with
+        | Some i, Some payload -> (
+            let delay = sabotage i in
+            match work payload with
+            | r ->
+                if delay > 0.0 then Unix.sleepf delay;
+                send (msg_done i r)
+            | exception e -> send (msg_fail i (Printexc.to_string e)))
+        | _ -> Unix._exit 1)
   done
 
 (* ---- parent-side bookkeeping ---- *)
@@ -214,17 +140,15 @@ type worker = {
   mutable pid : int;
   mutable wr : Unix.file_descr;
   mutable rd : Unix.file_descr;
-  mutable assigned : int list; (* dispatched, not yet started *)
-  mutable running : int option;
+  mutable running : int option; (* the task sent and not yet answered *)
   mutable started_at : float; (* gettimeofday when [running] was set *)
-  mutable steal_pending : bool;
   mutable alive : bool;
   mutable respawn_at : float option; (* dead slot scheduled for revival *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
+let fork_worker ~other_fds ~worker_init ~work ~chaos =
   (* nothing buffered may cross the fork twice *)
   flush stdout;
   flush stderr;
@@ -243,7 +167,7 @@ let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (try
          Option.iter (fun f -> f ()) worker_init;
-         worker_loop p2c_r c2p_w ~work ~epilogue ~chaos
+         worker_loop p2c_r c2p_w ~work ~chaos
        with _ -> ());
       Unix._exit 1
   | pid ->
@@ -253,17 +177,14 @@ let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
         pid;
         wr = p2c_w;
         rd = c2p_r;
-        assigned = [];
         running = None;
         started_at = 0.0;
-        steal_pending = false;
         alive = true;
         respawn_at = None;
       }
 
-let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
-    ?(should_stop = fun () -> false) ?task_deadline_s ?backoff ?breaker ?chaos
-    ~work (tasks : Json.t array) :
+let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
+    ?task_deadline_s ?backoff ?breaker ?chaos ~work (tasks : Json.t array) :
     outcome option array * stats =
   let n = Array.length tasks in
   let outcomes : outcome option array = Array.make n None in
@@ -280,7 +201,6 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
     let decided = ref 0 in
     let forked = ref 0 in
     let respawned = ref 0 in
-    let steals = ref 0 in
     let tasks_lost = ref 0 in
     let timeouts = ref 0 in
     let backoff_waits = ref 0 in
@@ -294,7 +214,16 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
     in
     let spawn () =
       incr forked;
-      fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~epilogue ~chaos
+      fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~chaos
+    in
+    let record_failure () =
+      Option.iter
+        (fun b ->
+          let was = Breaker.tripped b in
+          Breaker.record_failure b;
+          if (not was) && Breaker.tripped b then
+            Obs.Telemetry.incr c_breaker_trips)
+        breaker
     in
     let deliver i o =
       if outcomes.(i) = None then begin
@@ -303,23 +232,11 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         (match o with
         | Lost _ ->
             incr tasks_lost;
-            Option.iter
-              (fun b ->
-                let was = Breaker.tripped b in
-                Breaker.record_failure b;
-                if (not was) && Breaker.tripped b then
-                  Obs.Telemetry.incr c_breaker_trips)
-              breaker
+            record_failure ()
         | Timed_out _ ->
             incr timeouts;
             Obs.Telemetry.incr c_timeouts;
-            Option.iter
-              (fun b ->
-                let was = Breaker.tripped b in
-                Breaker.record_failure b;
-                if (not was) && Breaker.tripped b then
-                  Obs.Telemetry.incr c_breaker_trips)
-              breaker
+            record_failure ()
         | Done _ ->
             Backoff.reset backoff;
             Option.iter Breaker.record_success breaker);
@@ -333,31 +250,22 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       w.pid <- fresh.pid;
       w.wr <- fresh.wr;
       w.rd <- fresh.rd;
-      w.started_at <- 0.0;
       w.respawn_at <- None;
       w.alive <- true
     in
-    (* forward declaration to let dispatch and the death path recurse *)
+    (* A dead worker is reaped at once and costs its in-flight task, which
+       is never retried; an interrupted run ([stopping]) leaves that task
+       undecided instead. *)
     let rec on_death (w : worker) ~stopping =
       if w.alive then begin
         w.alive <- false;
         close_quiet w.wr;
         close_quiet w.rd;
         let cause = reap w.pid in
-        if stopping then begin
-          (* interrupted run: in-flight work is simply not decided *)
-          Option.iter
-            (fun i -> if outcomes.(i) = None then Queue.add i pending)
-            w.running;
-          List.iter (fun i -> Queue.add i pending) w.assigned
-        end
-        else begin
-          Option.iter (fun i -> deliver i (Lost cause)) w.running;
-          List.iter (fun i -> Queue.add i pending) w.assigned
-        end;
+        let running = w.running in
         w.running <- None;
-        w.assigned <- [];
-        w.steal_pending <- false;
+        if not stopping then
+          Option.iter (fun i -> deliver i (Lost cause)) running;
         (* Supervised respawn: never instant — each consecutive failure
            climbs the backoff ladder (a Done resets it), so a poison
            workload can't turn the parent into a fork storm. A slot with
@@ -377,75 +285,25 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
           end
         end
       end
-    and send_to w j =
-      try Ipc.write w.wr j
-      with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        on_death w ~stopping:false
+    (* Hand an idle worker the next queued task, marked running from the
+       moment it is sent: a worker that dies before replying costs it. *)
+    and feed (w : worker) =
+      if w.alive && w.running = None then
+        match Queue.take_opt pending with
+        | None -> ()
+        | Some i -> (
+            w.running <- Some i;
+            w.started_at <- Unix.gettimeofday ();
+            try Ipc.write w.wr (msg_task i tasks.(i))
+            with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
+              on_death w ~stopping:false)
     in
-    let dispatch () =
-      let ws = !workers in
-      (* hand chunks to idle workers while the queue lasts *)
-      Array.iter
-        (fun w ->
-          if
-            w.alive && w.assigned = [] && w.running = None
-            && not (Queue.is_empty pending)
-          then begin
-            let size =
-              max 1 (min max_chunk (Queue.length pending / (2 * jobs)))
-            in
-            let chunk = ref [] in
-            for _ = 1 to size do
-              match Queue.take_opt pending with
-              | Some i -> chunk := i :: !chunk
-              | None -> ()
-            done;
-            let chunk = List.rev !chunk in
-            if chunk <> [] then begin
-              w.assigned <- chunk;
-              send_to w (msg_chunk (List.map (fun i -> (i, tasks.(i))) chunk))
-            end
-          end)
-        ws;
-      (* queue dry + idle hands: steal back the largest unstarted backlog *)
-      if Queue.is_empty pending then
-        let idle =
-          Array.exists
-            (fun w -> w.alive && w.assigned = [] && w.running = None)
-            ws
-        in
-        if idle then
-          let victim =
-            (* a worker always keeps one unstarted task for itself, so a
-               backlog of one can never be reclaimed — asking would just
-               ping-pong empty steal replies against a busy straggler *)
-            Array.fold_left
-              (fun best w ->
-                if
-                  w.alive && (not w.steal_pending)
-                  && List.length w.assigned >= 2
-                then
-                  match best with
-                  | Some b when List.length b.assigned >= List.length w.assigned
-                    ->
-                      best
-                  | _ -> Some w
-                else best)
-              None ws
-          in
-          match victim with
-          | Some v ->
-              v.steal_pending <- true;
-              send_to v msg_steal
-          | None -> ()
-    in
-    (* Watchdog: any announced task older than the deadline costs its
-       worker a SIGKILL (which also terminates a SIGSTOP-stalled
-       process) and is delivered as Timed_out — with the configured
-       deadline, not the measured elapsed, so the outcome is
-       deterministic. The death surfaces as EOF on the next select and
-       takes the normal requeue/respawn path; running is cleared here so
-       the reaper does not re-deliver the task as Lost. *)
+    (* Watchdog: a task older than the deadline costs its worker a SIGKILL
+       (which also terminates a SIGSTOP-stalled process) and is delivered
+       as Timed_out — with the configured deadline, not the measured
+       elapsed, so the outcome is deterministic. The worker is reaped
+       here, before anything else is dispatched: left for the next select
+       to find, it would be handed the next queued task and lose it. *)
     let check_watchdog () =
       match task_deadline_s with
       | None -> ()
@@ -453,55 +311,35 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
           let now = Unix.gettimeofday () in
           Array.iter
             (fun w ->
-              if w.alive then
-                match w.running with
-                | Some i when now -. w.started_at > deadline ->
-                    deliver i (Timed_out deadline);
-                    w.running <- None;
-                    (try Unix.kill w.pid Sys.sigkill
-                     with Unix.Unix_error _ -> ())
-                | _ -> ())
+              match w.running with
+              | Some i when w.alive && now -. w.started_at > deadline ->
+                  w.running <- None;
+                  (try Unix.kill w.pid Sys.sigkill
+                   with Unix.Unix_error _ -> ());
+                  on_death w ~stopping:false;
+                  deliver i (Timed_out deadline)
+              | _ -> ())
             !workers
     in
+    (* A reply frees its worker, which gets its next task before the
+       finished one is delivered: whatever [on_complete] does (the
+       campaign runner writes its checkpoint) overlaps that task. *)
     let handle_msg (w : worker) j =
-      match obj_op j with
-      | Some "start" ->
-          Option.iter
-            (fun i ->
-              w.running <- Some i;
-              w.started_at <- Unix.gettimeofday ();
-              w.assigned <- List.filter (fun a -> a <> i) w.assigned)
-            (obj_int "i" j)
-      | Some "done" -> (
-          match (obj_int "i" j, Json.member "r" j) with
-          | Some i, Some r ->
-              if w.running = Some i then w.running <- None;
-              deliver i (Done r)
-          | _ -> ())
-      | Some "fail" -> (
-          match obj_int "i" j with
-          | Some i ->
-              if w.running = Some i then w.running <- None;
-              let m =
-                Option.value ~default:"unknown exception"
-                  (Option.bind (Json.member "msg" j) Json.to_str)
-              in
-              deliver i (Lost ("exception in worker: " ^ m))
-          | None -> ())
-      | Some "stolen" ->
-          w.steal_pending <- false;
-          let is =
-            Option.value ~default:[]
-              (Option.bind (Json.member "is" j) Json.to_list)
-            |> List.filter_map Json.to_int
+      match w.running with
+      | Some i when obj_int "i" j = Some i ->
+          let o =
+            match (Json.member "op" j, Json.member "r" j) with
+            | Some (Json.String "done"), Some r -> Done r
+            | _ ->
+                Lost
+                  ("exception in worker: "
+                  ^ Option.value ~default:"unknown exception"
+                      (Option.bind (Json.member "msg" j) Json.to_str))
           in
-          if is <> [] then incr steals;
-          List.iter
-            (fun i ->
-              w.assigned <- List.filter (fun a -> a <> i) w.assigned;
-              Queue.add i pending)
-            is
-      | Some "bye" | _ -> () (* bye only expected during shutdown *)
+          w.running <- None;
+          feed w;
+          deliver i o
+      | _ -> ()
     in
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
@@ -539,7 +377,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
                     if not (Queue.is_empty pending) then respawn_now w
                 | _ -> ())
               !workers;
-            dispatch ();
+            Array.iter feed !workers;
             let rds =
               Array.to_list !workers
               |> List.filter_map (fun w -> if w.alive then Some w.rd else None)
@@ -574,38 +412,11 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
             end;
             check_watchdog ()
           end
-        done;
-        (* clean shutdown: collect epilogues from the survivors *)
-        if (not !stopped) && !gave_up = None then
-          Array.iter
-            (fun w ->
-              if w.alive then begin
-                send_to w msg_quit;
-                if w.alive then begin
-                  let rec drain () =
-                    match Ipc.read w.rd with
-                    | Ipc.Eof -> ()
-                    | Ipc.Msg j -> (
-                        match (obj_op j, Json.member "e" j) with
-                        | Some "bye", Some e ->
-                            Option.iter (fun f -> f e) on_epilogue
-                        | _ -> drain ())
-                    | exception Ipc.Protocol_error _ -> ()
-                  in
-                  drain ();
-                  ignore (reap w.pid);
-                  close_quiet w.wr;
-                  close_quiet w.rd;
-                  w.alive <- false
-                end
-              end)
-            !workers)
-    ;
+        done);
     ( outcomes,
       {
         forked = !forked;
         respawned = !respawned;
-        steals = !steals;
         tasks_lost = !tasks_lost;
         timeouts = !timeouts;
         backoff_waits = !backoff_waits;

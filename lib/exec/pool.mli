@@ -1,5 +1,5 @@
-(** Exec.Pool — a fork-based multi-process worker pool with a chunked task
-    queue, dynamic work-stealing, and chaos-testable supervision.
+(** Exec.Pool — a fork-based multi-process worker pool that hands each
+    idle worker one task at a time, with chaos-testable supervision.
 
     The pool is generic and dependency-free: tasks and results are opaque
     {!Util.Json.t} payloads, the worker body is an ordinary closure (the
@@ -8,31 +8,30 @@
     serialization), and all IPC is length-prefixed JSON frames
     ({!Ipc}) over per-worker pipe pairs.
 
-    {b Scheduling.} The parent keeps the queue. Idle workers receive
-    chunks of [max 1 (min max_chunk (remaining / (2 * jobs)))] tasks —
-    large early chunks amortize IPC, shrinking ones avoid stragglers.
-    When the queue drains while a worker still sits on unstarted chunk
-    tasks, the parent sends it a steal request; the worker hands back
-    everything it has not started (keeping one task to stay busy) and the
-    parent re-dispatches the reclaimed tasks to idle workers. A slow task
-    can therefore delay at most itself.
+    {b Scheduling.} The parent keeps the queue. An idle worker receives
+    the next queued task, which counts as running from the moment it is
+    sent; the worker replies with its result or its exception and is
+    handed the next task before the finished one reaches [on_complete],
+    so the caller's bookkeeping overlaps that task. A slow task delays
+    only itself: the other workers keep draining the queue. EOF on its
+    task pipe ends a worker.
 
     {b Fault isolation.} A worker that exits, is killed by a signal, or
     raises out of [work] is reaped ([waitpid]) and its in-flight task is
-    reported as {!Lost} with a human-readable cause; unstarted tasks of
-    its chunk are re-queued undamaged. Lost tasks are never retried by
-    the pool — a task that reliably kills its worker must cost one task,
-    not the run.
+    reported as {!Lost} with a human-readable cause. Lost tasks are never
+    retried by the pool — a task that reliably kills its worker must cost
+    one task, not the run.
 
     {b Supervision.} Three mechanisms, all off by default:
-    - {b watchdog} ([task_deadline_s]): any announced task that outlives
+    - {b watchdog} ([task_deadline_s]): any running task that outlives
       the wall deadline ([Unix.gettimeofday]-based) costs its worker a
       SIGKILL — which also terminates a SIGSTOP-stalled process — and is
       delivered as {!Timed_out} carrying the {e configured} deadline, so
-      the outcome is deterministic. Without a watchdog a hung worker
-      stalls the pool forever: deadlines inside the worker are
-      cooperative ([Interp.Machine] polls its own budget) and cannot
-      fire once the process is stopped.
+      the outcome is deterministic. The killed worker is reaped before
+      any other task is dispatched, so it costs that one task. Without a
+      watchdog a hung worker stalls the pool forever: deadlines inside
+      the worker are cooperative ([Interp.Machine] polls its own budget)
+      and cannot fire once the process is stopped.
     - {b backoff} ([backoff]): respawns after a worker death are
       scheduled through an exponential-backoff ladder with seeded jitter
       ({!Backoff}) instead of happening instantly; a successful task
@@ -48,9 +47,10 @@
       serially).
 
     {b Chaos.} [chaos] threads a deterministic {!Chaos} fault schedule
-    into the worker loop: scheduled faults fire after the task's "start"
-    announcement (self-SIGKILL, self-SIGSTOP, torn/corrupt result frame,
-    delayed completion), exercising exactly the failure paths above with
+    into the worker loop: a scheduled fault fires once the task's frame
+    has arrived, while the parent counts the task as running
+    (self-SIGKILL, self-SIGSTOP, torn/corrupt result frame, delayed
+    completion), exercising exactly the failure paths above with
     placement that is a pure function of the seed.
 
     {b Determinism.} Results complete in any order and [on_complete]
@@ -72,7 +72,6 @@ type outcome =
 type stats = {
   forked : int;  (** workers forked, including respawns *)
   respawned : int;
-  steals : int;  (** steal requests that reclaimed at least one task *)
   tasks_lost : int;
   timeouts : int;  (** tasks delivered as {!Timed_out} by the watchdog *)
   backoff_waits : int;  (** respawns that waited on the backoff ladder *)
@@ -96,13 +95,11 @@ val detect_jobs : unit -> int
 
     [work] runs in the worker process; it should be total — an escaping
     exception costs the task ({!Lost}). [worker_init] runs once in each
-    fresh worker before any task (e.g. to reset inherited telemetry).
-    [epilogue] runs in the worker at clean shutdown and its payload is
-    delivered to [on_epilogue] in the parent — the channel for end-of-life
-    aggregates like histogram state. [on_complete] fires once per
-    decided task, in completion order. [should_stop] is polled between
-    scheduling steps; when it turns true the pool kills its workers and
-    returns with the undecided outcomes still [None].
+    fresh worker before any task (e.g. to reset inherited state).
+    [on_complete] fires once per decided task, in completion order.
+    [should_stop] is polled between scheduling steps; when it turns true
+    the pool kills its workers and returns with the undecided outcomes
+    still [None].
 
     [task_deadline_s], [backoff], [breaker] and [chaos] are the
     supervision/chaos knobs described above. A [chaos] plan containing
@@ -117,10 +114,7 @@ val detect_jobs : unit -> int
     telemetry is disabled). *)
 val run :
   jobs:int ->
-  ?max_chunk:int ->
   ?worker_init:(unit -> unit) ->
-  ?epilogue:(unit -> Util.Json.t) ->
-  ?on_epilogue:(Util.Json.t -> unit) ->
   ?on_complete:(int -> outcome -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?task_deadline_s:float ->

@@ -1004,7 +1004,7 @@ let shard_invocation t m (st : loop_stats) (el : elig)
         ~max_writes:t.knobs.max_shard_writes
     in
     let outs, _pstats =
-      Exec.Pool.run ~jobs:nshards ~max_chunk:1
+      Exec.Pool.run ~jobs:nshards
         ~worker_init:(fun () ->
           Machine.set_delegate m None;
           (* Shard workers are short-lived and share the parent image

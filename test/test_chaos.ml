@@ -2,10 +2,10 @@
    schedules driven through the full runner — watchdog timeouts recorded
    and resumable, circuit-breaker degradation Forked -> Serial with a
    complete checkpoint, injected checkpoint-write failures healed by
-   resume, byte-identical outcomes across same-seed runs, and salvage of
-   torn checkpoint tails. The pool-level mechanics live in test_exec.ml;
-   this file asserts the end-to-end invariants the `chaos` subcommand
-   enforces. *)
+   resume, byte-identical outcomes across same-seed runs, salvage of
+   torn checkpoint tails, and worker telemetry that survives the worker.
+   The pool-level mechanics live in test_exec.ml; this file asserts the
+   end-to-end invariants the `chaos` subcommand enforces. *)
 
 open Campaign
 module Chaos = Exec.Chaos
@@ -420,6 +420,57 @@ let test_shard_faults_roll_back_to_serial () =
         (Parrun.Quarantine.size
            (Parrun.Runner.quarantine r.Parrun.Guard.runner))
 
+(* ---- telemetry: a worker's death loses none of its delivered tasks ---- *)
+
+(* Every scored task observes [evaluate.speedup] once per ladder rung, and
+   the histograms of a task a worker finished must reach the parent even
+   when that worker dies later — here, killed by the last task, with and
+   without the breaker giving up on the pool. *)
+let test_worker_histograms_survive_worker_loss () =
+  let n = 6 in
+  let plan = Chaos.explicit [ (n - 1, Chaos.Kill_self) ] in
+  let rungs = List.length Loopa.Config.figure_ladder in
+  let observe ?breaker_threshold executor =
+    Obs.Telemetry.reset ();
+    let s =
+      Runner.run ~budgets:(budgets ()) ~log:quiet ~executor ~chaos:plan
+        ?breaker_threshold (named n)
+    in
+    let scored =
+      List.length
+        (List.filter
+           (fun (r : Runner.result) ->
+             match r.Runner.status with
+             | Runner.Completed _ | Runner.Truncated _ -> true
+             | Runner.Errored _ -> false)
+           s.Runner.results)
+    in
+    let count =
+      match List.assoc_opt "evaluate.speedup" (Obs.Telemetry.histograms ()) with
+      | Some h -> h.Obs.Telemetry.count
+      | None -> 0
+    in
+    (scored, count)
+  in
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.reset ();
+      Obs.Telemetry.disable ())
+    (fun () ->
+      let serial_scored, serial = observe Runner.Serial in
+      Alcotest.(check int) "serial: the last task is lost" (n - 1) serial_scored;
+      Alcotest.(check int) "serial: one observation per rung per scored task"
+        (rungs * serial_scored) serial;
+      List.iter
+        (fun (label, breaker_threshold) ->
+          let scored, count = observe ?breaker_threshold (Runner.Forked 2) in
+          Alcotest.(check int)
+            (label ^ ": one observation per rung per scored task")
+            (rungs * scored) count;
+          Alcotest.(check int) (label ^ ": same as serial") serial count)
+        [ ("kill on the last task", None); ("breaker gives up", Some 1) ])
+
 let () =
   Alcotest.run "chaos"
     [
@@ -461,5 +512,10 @@ let () =
             test_torn_tail_salvage_on_resume;
           Alcotest.test_case "unterminated final line is a torn tail" `Quick
             test_unterminated_final_line_dropped;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "worker histograms survive worker loss" `Quick
+            test_worker_histograms_survive_worker_loss;
         ] );
     ]

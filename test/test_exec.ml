@@ -1,9 +1,9 @@
 (* The exec subsystem: IPC framing over real pipes (roundtrip, messages
    larger than the pipe buffer, clean EOF vs torn frames) and the worker
    pool's contract — index-ordered outcomes, one completion callback per
-   task, work-stealing when the queue dries up, fault isolation (a killed
-   worker costs exactly its in-flight task and is respawned), worker
-   epilogues, and prompt shutdown under should_stop. *)
+   task, a slow task that delays only itself, fault isolation (a killed
+   worker costs exactly its in-flight task and is respawned), worker_init
+   in the workers, and prompt shutdown under should_stop. *)
 
 module J = Util.Json
 module Ipc = Exec.Ipc
@@ -30,7 +30,7 @@ let test_ipc_roundtrip () =
   with_pipe (fun r w ->
       let msgs =
         [
-          J.Obj [ ("op", J.String "chunk"); ("tasks", J.List [ J.Int 1; J.Int 2 ]) ];
+          J.Obj [ ("i", J.Int 1); ("t", J.List [ J.Int 1; J.Int 2 ]) ];
           J.Null;
           J.List [ J.Float 1.5; J.Bool true; J.String "x\"y\n" ];
         ]
@@ -159,19 +159,21 @@ let test_pool_outcomes_in_index_order () =
   Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost;
   Alcotest.(check int) "initial fleet only" 4 stats.Pool.forked
 
-(* ---- pool: work-stealing ---- *)
+(* ---- pool: one task at a time ---- *)
 
-let test_pool_steals_from_straggler () =
-  (* jobs=2, max_chunk=8, 12 tasks: the first chunks are 3 tasks each, and
-     task 0 sleeps — so one worker finishes the whole tail while the other
-     still sits on unstarted chunk-mates, which the parent must steal back. *)
+let test_pool_slow_task_delays_only_itself () =
+  (* jobs=2, 12 tasks, task 0 sleeps: the other worker drains the whole
+     queue meanwhile, so task 0 is the last to complete *)
   let work payload =
     let i = task_index payload in
     if i = 0 then Unix.sleepf 0.5;
     J.Int i
   in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:8 ~work (Array.init 12 (fun i -> J.Int i))
+  let order = ref [] in
+  let outcomes, _ =
+    Pool.run ~jobs:2 ~work
+      ~on_complete:(fun i _ -> order := i :: !order)
+      (Array.init 12 (fun i -> J.Int i))
   in
   Array.iteri
     (fun i o ->
@@ -179,9 +181,8 @@ let test_pool_steals_from_straggler () =
       | Some (Pool.Done r) -> Alcotest.check json "result" (J.Int i) r
       | _ -> Alcotest.fail "task lost or undecided")
     outcomes;
-  Alcotest.(check bool)
-    ("at least one steal, got " ^ string_of_int stats.Pool.steals)
-    true (stats.Pool.steals >= 1)
+  Alcotest.(check int) "task 0 completes after every other task" 0
+    (List.hd !order)
 
 (* ---- pool: fault isolation ---- *)
 
@@ -196,7 +197,7 @@ let test_pool_killed_worker_costs_one_task () =
     J.Int i
   in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~work (Array.init 8 (fun i -> J.Int i))
+    Pool.run ~jobs:2 ~work (Array.init 8 (fun i -> J.Int i))
   in
   Array.iteri
     (fun i o ->
@@ -241,32 +242,23 @@ let test_pool_worker_exception_is_lost_not_fatal () =
 
 (* ---- pool: worker lifecycle hooks ---- *)
 
-let test_pool_epilogues_collected () =
+let test_pool_worker_init_runs_in_workers () =
   let inits = ref 0 in
-  let epilogues = ref [] in
-  let work payload = payload in
+  let work _ = J.Int !inits in
   let outcomes, _ =
     Pool.run ~jobs:2
       ~worker_init:(fun () -> incr inits)
-      ~epilogue:(fun () -> J.Obj [ ("pid", J.Int (Unix.getpid ())) ])
-      ~on_epilogue:(fun e -> epilogues := e :: !epilogues)
       ~work
       (Array.init 6 (fun i -> J.Int i))
   in
-  Alcotest.(check int) "all tasks done" 6
-    (Array.fold_left
-       (fun n o -> match o with Some (Pool.Done _) -> n + 1 | _ -> n)
-       0 outcomes);
-  (* worker_init runs in the children, not here *)
-  Alcotest.(check int) "parent inits untouched" 0 !inits;
-  Alcotest.(check int) "one epilogue per surviving worker" 2
-    (List.length !epilogues);
-  List.iter
-    (fun e ->
-      match Option.bind (J.member "pid" e) J.to_int with
-      | Some pid -> Alcotest.(check bool) "a child pid" true (pid <> Unix.getpid ())
-      | None -> Alcotest.fail "malformed epilogue")
-    !epilogues
+  (* every task sees its own worker's single init; the parent's is untouched *)
+  Array.iter
+    (fun o ->
+      match o with
+      | Some (Pool.Done r) -> Alcotest.check json "one init per worker" (J.Int 1) r
+      | _ -> Alcotest.fail "task lost or undecided")
+    outcomes;
+  Alcotest.(check int) "parent inits untouched" 0 !inits
 
 let test_pool_should_stop_returns_promptly () =
   let work payload = payload in
@@ -338,7 +330,7 @@ let test_pool_watchdog_reaps_stalled_task () =
     J.Int i
   in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~task_deadline_s:0.5 ~work
+    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~work
       (Array.init 4 (fun i -> J.Int i))
   in
   (match outcomes.(victim) with
@@ -361,7 +353,7 @@ let test_pool_watchdog_reaps_sigstopped_worker () =
   let work payload = J.Int (task_index payload) in
   let t0 = Unix.gettimeofday () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~task_deadline_s:0.5 ~chaos ~work
+    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~chaos ~work
       (Array.init 5 (fun i -> J.Int i))
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -380,6 +372,34 @@ let test_pool_watchdog_reaps_sigstopped_worker () =
         | _ -> Alcotest.fail "non-stalled task damaged")
     outcomes
 
+let test_pool_watchdog_kill_costs_one_task () =
+  (* one worker: the watchdog kills it on task 0 while tasks 1-3 wait in
+     the queue. The killed worker must be reaped before the next dispatch,
+     or task 1 is sent to a dying process and comes back Lost. *)
+  let work payload =
+    let i = task_index payload in
+    if i = 0 then Unix.sleepf 30.0;
+    J.Int i
+  in
+  let outcomes, stats =
+    Pool.run ~jobs:1 ~task_deadline_s:0.3 ~work
+      (Array.init 4 (fun i -> J.Int i))
+  in
+  (match outcomes.(0) with
+  | Some (Pool.Timed_out d) ->
+      Alcotest.(check (float 1e-9)) "carries the configured deadline" 0.3 d
+  | _ -> Alcotest.fail "task 0 should be Timed_out");
+  Array.iteri
+    (fun i o ->
+      if i <> 0 then
+        match o with
+        | Some (Pool.Done r) -> Alcotest.check json "queued task" (J.Int i) r
+        | Some (Pool.Lost c) -> Alcotest.failf "task %d lost: %s" i c
+        | _ -> Alcotest.failf "task %d timed out or undecided" i)
+    outcomes;
+  Alcotest.(check int) "one timeout" 1 stats.Pool.timeouts;
+  Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost
+
 let test_pool_breaker_gives_up_early () =
   (* every dispatched task kills its worker: after [threshold] consecutive
      losses the pool must stop feeding the collapse and return early with
@@ -392,7 +412,7 @@ let test_pool_breaker_gives_up_early () =
   let breaker = Breaker.create ~threshold:2 () in
   let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~breaker ~backoff ~work
+    Pool.run ~jobs:2 ~breaker ~backoff ~work
       (Array.init 12 (fun i -> J.Int i))
   in
   (match stats.Pool.gave_up with
@@ -415,7 +435,7 @@ let test_pool_chaos_lethal_faults_cost_their_task () =
   let work payload = J.Int (task_index payload * 2) in
   let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~backoff ~chaos ~work
+    Pool.run ~jobs:2 ~backoff ~chaos ~work
       (Array.init 6 (fun i -> J.Int i))
   in
   let lethal = [ 1; 3; 4 ] in
@@ -477,14 +497,14 @@ let () =
         [
           Alcotest.test_case "outcomes in index order" `Quick
             test_pool_outcomes_in_index_order;
-          Alcotest.test_case "steals from a straggler" `Quick
-            test_pool_steals_from_straggler;
+          Alcotest.test_case "a slow task delays only itself" `Quick
+            test_pool_slow_task_delays_only_itself;
           Alcotest.test_case "killed worker costs one task" `Quick
             test_pool_killed_worker_costs_one_task;
           Alcotest.test_case "worker exception is Lost" `Quick
             test_pool_worker_exception_is_lost_not_fatal;
-          Alcotest.test_case "epilogues collected" `Quick
-            test_pool_epilogues_collected;
+          Alcotest.test_case "worker_init runs in the workers" `Quick
+            test_pool_worker_init_runs_in_workers;
           Alcotest.test_case "should_stop returns promptly" `Quick
             test_pool_should_stop_returns_promptly;
           Alcotest.test_case "detect_jobs" `Quick test_detect_jobs_positive;
@@ -501,6 +521,8 @@ let () =
             test_pool_watchdog_reaps_stalled_task;
           Alcotest.test_case "watchdog reaps a SIGSTOP'd worker" `Quick
             test_pool_watchdog_reaps_sigstopped_worker;
+          Alcotest.test_case "watchdog kill costs one task" `Quick
+            test_pool_watchdog_kill_costs_one_task;
           Alcotest.test_case "breaker gives up early" `Quick
             test_pool_breaker_gives_up_early;
           Alcotest.test_case "chaos lethal faults cost one task each" `Quick
