@@ -1,14 +1,11 @@
 (* The experiment harness: regenerates every table and figure of the paper's
-   evaluation (Table I, Table II, Figures 1-5) from the benchmark suites, and
-   attaches one Bechamel timing probe per experiment (measuring the analysis
-   work that produces it). See DESIGN.md §5 for the experiment index and
-   EXPERIMENTS.md for paper-vs-measured commentary.
+   evaluation (Table I, Table II, Figures 1-5) from the benchmark suites and
+   writes the telemetry snapshot of the run. See DESIGN.md §5 for the
+   experiment index and EXPERIMENTS.md for paper-vs-measured commentary.
 
-   Usage: dune exec bench/main.exe [--skip-bechamel] [--quick] *)
+   Usage: dune exec bench/main.exe [--quick] [--ablation] *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
-
-let skip_bechamel = Array.exists (( = ) "--skip-bechamel") Sys.argv
 
 (* Record pipeline telemetry for the whole harness run (must happen before
    [analyses] below profiles everything): the BENCH snapshot written at exit
@@ -90,8 +87,8 @@ let () =
 
    Also before [analyses], for the same copy-on-write reason. Runs the
    cfp2000 campaign under a fixed fault seed and records planned-vs-
-   observed fault counts plus the supervision counters (watchdog
-   timeouts, backoff waits, breaker trips) in the BENCH snapshot. *)
+   observed fault counts plus the pool's counters (respawns, watchdog
+   timeouts) in the BENCH snapshot. *)
 
 let chaos_results : Util.Json.t ref = ref Util.Json.Null
 
@@ -112,7 +109,7 @@ let () =
   let counters =
     List.map
       (fun name -> (name, Obs.Telemetry.counter ("pool." ^ name)))
-      [ "respawns"; "timeouts"; "backoff_waits"; "breaker_trips" ]
+      [ "respawns"; "timeouts" ]
   in
   let baseline = List.map (fun (k, c) -> (k, Obs.Telemetry.value c)) counters in
   let budgets =
@@ -145,8 +142,8 @@ let () =
   in
   Printf.printf "planned: %s\n" (Exec.Chaos.summary plan ~n);
   Printf.printf
-    "observed: %d completed, %d lost, %d timed out, %d degraded in %.2fs\n"
-    s.Campaign.Runner.n_completed lost timed_out s.Campaign.Runner.n_degraded wall;
+    "observed: %d completed, %d lost, %d timed out in %.2fs\n"
+    s.Campaign.Runner.n_completed lost timed_out wall;
   Printf.printf "supervision: %s\n%!"
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) deltas));
@@ -164,7 +161,6 @@ let () =
                 (Exec.Chaos.planned_counts plan ~n)) );
          ("lost", Util.Json.Int lost);
          ("timed_out", Util.Json.Int timed_out);
-         ("degraded", Util.Json.Int s.Campaign.Runner.n_degraded);
        ]
       @ List.map (fun (k, v) -> (k, Util.Json.Int v)) deltas)
 
@@ -540,77 +536,6 @@ let figure5 () =
      start high and saturate. Amdahl: the HELIX gains in Figure 2 come from\n\
      this coverage, not from higher per-loop parallelism."
 
-(* ---- Bechamel probes: one Test.make per table/figure ---- *)
-
-let bechamel_probes () =
-  section "Bechamel probes — time to regenerate each artifact";
-  let open Bechamel in
-  let sample = List.filteri (fun i _ -> i mod 7 = 0) analyses in
-  let eval_all cfgs () =
-    List.iter
-      (fun (_, a) -> List.iter (fun c -> ignore (Loopa.Driver.evaluate a c)) cfgs)
-      sample
-  in
-  let mcf = Option.get (Suites.Suite.find "181_mcf") in
-  let tests =
-    [
-      Test.make ~name:"table1_census"
-        (Staged.stage (fun () ->
-             let c = Loopa.Taxonomy.empty () in
-             List.iter
-               (fun (_, a) -> ignore (Loopa.Taxonomy.add_profile c a.Loopa.Driver.profile))
-               sample));
-      Test.make ~name:"table2_configs"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun c -> ignore (Loopa.Config.of_string (Loopa.Config.name c)))
-               Loopa.Config.figure_ladder));
-      Test.make ~name:"figure1_models"
-        (Staged.stage (fun () ->
-             let inp = figure1_input ~conflict:true in
-             ignore (Loopa.Model.doall_cost inp);
-             ignore (Loopa.Model.pdoall_cost inp);
-             ignore (Loopa.Model.helix_cost inp)));
-      Test.make ~name:"figure2_ladder_eval"
-        (Staged.stage (eval_all Loopa.Config.figure_ladder));
-      Test.make ~name:"figure3_ladder_eval"
-        (Staged.stage (eval_all Loopa.Config.figure_ladder));
-      Test.make ~name:"figure4_best_eval"
-        (Staged.stage (eval_all [ Loopa.Config.best_pdoall; Loopa.Config.best_helix ]));
-      Test.make ~name:"figure5_coverage_eval"
-        (Staged.stage (eval_all Loopa.Config.coverage_configs));
-      Test.make ~name:"profile_181_mcf"
-        (Staged.stage (fun () ->
-             ignore (Loopa.Driver.analyze_source ~fuel:10_000_000 mcf.Suites.Suite.source)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-  in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"loopapalooza" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let t = Report.Table.create [ "probe"; "time/run" ] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          let pretty =
-            if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-            else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-            else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-            else Printf.sprintf "%.0f ns" est
-          in
-          Report.Table.add_row t [ name; pretty ]
-      | _ -> Report.Table.add_row t [ name; "n/a" ])
-    results;
-  print_endline (Report.Table.render t)
-
 (* ---- ablations over the design choices DESIGN.md fixes ---- *)
 
 let ablation_sample () =
@@ -737,94 +662,6 @@ let lint_throughput () =
     n n_diags wall
     (float_of_int n /. Float.max 1e-9 wall)
 
-(* ---- analysis as a service: cold vs warm result-cache latency ---- *)
-
-let service_results : Util.Json.t ref = ref Util.Json.Null
-
-let service_section () =
-  section "Service — content-addressed result cache, cold vs warm analyze";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench-cache-%d" (Unix.getpid ()))
-  in
-  let rec rm p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-        Unix.rmdir p
-      end
-      else Sys.remove p
-  in
-  Fun.protect
-    ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () ->
-      let cache = Service.Cache.open_dir dir in
-      let src =
-        match Suites.Suite.find "181_mcf" with
-        | Some b -> b.Suites.Suite.source
-        | None -> failwith "181_mcf missing from the registry"
-      in
-      let fuel = 2_000_000 in
-      let config = "reduc1-dep1-fn2 HELIX" in
-      let key =
-        Service.Cache.key ~source:src
-          ~fingerprint:
-            (Service.Keys.analyze ~config ~fuel ~loops:8 ~optimize:false)
-      in
-      (* cold: the whole compile + profile + classify + render pipeline *)
-      let t0 = Unix.gettimeofday () in
-      let text =
-        Service.Render.report ~show_loops:8
-          (Loopa.Driver.evaluate
-             (Loopa.Driver.analyze_source ~fuel src)
-             (Loopa.Config.of_string config))
-      in
-      let cold_s = Unix.gettimeofday () -. t0 in
-      Service.Cache.store cache key
-        (Util.Json.Obj
-           [
-             ("kind", Util.Json.String "analyze");
-             ("text", Util.Json.String text);
-           ]);
-      (* warm: a pure disk read through the cache, averaged *)
-      let warm_iters = 50 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to warm_iters do
-        match Service.Cache.find cache key with
-        | Some _ -> ()
-        | None -> failwith "warm lookup missed"
-      done;
-      let warm_s = (Unix.gettimeofday () -. t0) /. float_of_int warm_iters in
-      let hits, misses, _ = Service.Cache.stats cache in
-      let hit_rate =
-        float_of_int hits /. float_of_int (max 1 (hits + misses))
-      in
-      let t = Report.Table.create [ "path"; "wall s"; "note" ] in
-      Report.Table.add_row t
-        [ "cold analyze"; Printf.sprintf "%.4f" cold_s; "compile+profile+classify+render" ];
-      Report.Table.add_row t
-        [
-          "warm analyze";
-          Printf.sprintf "%.6f" warm_s;
-          Printf.sprintf "cache read (x%.0f)" (cold_s /. Float.max 1e-9 warm_s);
-        ];
-      print_endline (Report.Table.render t);
-      Printf.printf "%d hits, %d misses (hit rate %.2f) over %d lookups\n" hits
-        misses hit_rate warm_iters;
-      service_results :=
-        Util.Json.Obj
-          [
-            ("target", Util.Json.String "181_mcf");
-            ("fuel", Util.Json.Int fuel);
-            ("cold_s", Util.Json.Float cold_s);
-            ("warm_s", Util.Json.Float warm_s);
-            ("speedup", Util.Json.Float (cold_s /. Float.max 1e-9 warm_s));
-            ("hits", Util.Json.Int hits);
-            ("misses", Util.Json.Int misses);
-            ("hit_rate", Util.Json.Float hit_rate);
-          ])
-
 (* ---- perf snapshot: per-stage timings from the telemetry spans ---- *)
 
 let write_bench_snapshot () =
@@ -857,7 +694,6 @@ let write_bench_snapshot () =
             ] );
         ("chaos", !chaos_results);
         ("parrun", !parrun_results);
-        ("service", !service_results);
         ( "lint",
           let files, diags, wall = !lint_results in
           Util.Json.Obj
@@ -921,12 +757,6 @@ let () =
   guarded "figure4" figure4;
   guarded "figure5" figure5;
   guarded "lint" lint_throughput;
-  guarded "service" service_section;
   if Array.exists (( = ) "--ablation") Sys.argv then guarded "ablations" ablations;
-  if not skip_bechamel then begin
-    try bechamel_probes ()
-    with e ->
-      Printf.printf "bechamel probes skipped: %s\n" (Printexc.to_string e)
-  end;
   write_bench_snapshot ();
   print_endline "\ndone."

@@ -1172,10 +1172,10 @@ let chaos_cmd =
         end;
         let kept = List.length n1 in
         Printf.printf
-          "pass 1: %d completed, %d truncated, %d lost, %d timed out, %d \
-           degraded; checkpoint kept %d of %d line(s)\n"
+          "pass 1: %d completed, %d truncated, %d lost, %d timed out; \
+           checkpoint kept %d of %d line(s)\n"
           s1.Campaign.Runner.n_completed s1.Campaign.Runner.n_truncated !lost
-          !timed_out s1.Campaign.Runner.n_degraded kept n;
+          !timed_out kept n;
         Printf.printf "determinism: %s\n%!"
           (if n1 = n2 then "normalized checkpoints byte-identical" else "DIVERGED");
         (* 4. the survivor checkpoint resumes to completion with chaos off:

@@ -10,13 +10,10 @@
 
 module Json = Util.Json
 
-(* supervision/chaos counters; the pool.* handles are the same registry
-   entries Exec.Pool bumps — interned here for heartbeat reads *)
+(* supervision/chaos counters; pool.timeouts is the same registry entry
+   Exec.Pool bumps — interned here for heartbeat reads *)
 let c_ckpt_drops = Obs.Telemetry.counter "campaign.checkpoint_drops"
-let c_degraded = Obs.Telemetry.counter "campaign.degraded_tasks"
 let c_pool_timeouts = Obs.Telemetry.counter "pool.timeouts"
-let c_pool_backoff_waits = Obs.Telemetry.counter "pool.backoff_waits"
-let c_pool_breaker_trips = Obs.Telemetry.counter "pool.breaker_trips"
 
 type error =
   | Compile_error of string
@@ -97,12 +94,11 @@ type heartbeat = {
   hb_tasks_per_s : float;
   hb_eta_s : float;
   hb_counters : (string * int) list;
-  (* supervision visibility: cumulative over this campaign (from the
-     pool.* telemetry counters, so populated only while telemetry is
-     enabled) — a degraded run shows its distress while it happens *)
+  (* watchdog timeouts, cumulative over this campaign (from the
+     pool.timeouts telemetry counter, so populated only while telemetry
+     is enabled) — a run that keeps timing out shows it while it
+     happens *)
   hb_timeouts : int;
-  hb_backoff_waits : int;
-  hb_breaker_trips : int;
 }
 
 let heartbeat_line hb =
@@ -110,22 +106,10 @@ let heartbeat_line hb =
     Printf.sprintf "[%d/%d] %.2f tasks/s, eta %.1fs" hb.hb_done hb.hb_total
       hb.hb_tasks_per_s hb.hb_eta_s
   in
-  let supervision =
-    List.filter
-      (fun (_, v) -> v > 0)
-      [
-        ("timeouts", hb.hb_timeouts);
-        ("backoff", hb.hb_backoff_waits);
-        ("breaker", hb.hb_breaker_trips);
-      ]
-  in
   let base =
-    match supervision with
-    | [] -> base
-    | l ->
-        base ^ " | "
-        ^ String.concat ", "
-            (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) l)
+    if hb.hb_timeouts > 0 then
+      Printf.sprintf "%s | timeouts %d" base hb.hb_timeouts
+    else base
   in
   (* keep the line readable: only the three largest counter movements *)
   let top =
@@ -150,8 +134,6 @@ let heartbeat_json hb : Json.t =
       ("tasks_per_s", Json.Float hb.hb_tasks_per_s);
       ("eta_s", Json.Float hb.hb_eta_s);
       ("timeouts", Json.Int hb.hb_timeouts);
-      ("backoff_waits", Json.Int hb.hb_backoff_waits);
-      ("breaker_trips", Json.Int hb.hb_breaker_trips);
       ( "counters",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) hb.hb_counters) );
     ]
@@ -163,9 +145,6 @@ type summary = {
   n_errored : int;
   n_resumed : int; (* subset of the above restored from the checkpoint *)
   n_cached : int; (* subset served from the content-addressed result cache *)
-  n_degraded : int;
-      (* tasks finished serially in the parent after the pool gave up
-         (circuit breaker open or respawn capacity exhausted) *)
   geomeans : (Loopa.Config.t * float) list;
       (* per config rung, over every task that produced scores *)
   failures : (string * int) list; (* error class -> count *)
@@ -701,13 +680,12 @@ type entry = {
   er : result;
   eline : Json.t; (* the full checkpoint line, telemetry included *)
   efail : (Loopa.Driver.failure * int) option;
-  degraded : bool; (* run in the parent after the pool gave up *)
 }
 
 (* [line] is the result's checkpoint object — a worker's is kept verbatim,
    so parallel checkpoints match serial ones — and [tele] rides along as
    the task's telemetry snapshot. *)
-let entry ~degraded ~tele line er efail =
+let entry ~tele line er efail =
   let eline =
     match (line, tele) with
     | Json.Obj fields, Some (spans, counters) ->
@@ -716,13 +694,13 @@ let entry ~degraded ~tele line er efail =
           @ [ ("telemetry", Obs.Export.snapshot_json ~spans ~counters) ])
     | j, _ -> j
   in
-  { er; eline; efail; degraded }
+  { er; eline; efail }
 
 let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
     ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
     ?prof_dir ?(log = fun _ -> ()) ?heartbeat ?(executor = Serial)
-    ?(on_task_start = fun (_ : string) -> ()) ?chaos ?(breaker_threshold = 5)
-    ?cache_find ?cache_store (targets : (string * string) list) : summary =
+    ?(on_task_start = fun (_ : string) -> ()) ?chaos ?cache_find ?cache_store
+    (targets : (string * string) list) : summary =
   let done_before =
     match checkpoint with
     | Some path when resume -> load_checkpoint ~log path
@@ -762,16 +740,13 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       Option.iter close_out oc)
     (fun () ->
       let n_resumed = ref 0 in
-      let n_degraded = ref 0 in
       let t0 = Unix.gettimeofday () in
       let total = List.length targets in
       let n_done = ref 0 in
       let beat_mark = ref (Obs.Telemetry.mark ()) in
-      (* pool.* counters are process-cumulative; baseline them so the
-         heartbeat reports this campaign's supervision activity only *)
+      (* pool.timeouts is process-cumulative; baseline it so the
+         heartbeat reports this campaign's timeouts only *)
       let base_timeouts = Obs.Telemetry.value c_pool_timeouts in
-      let base_backoff = Obs.Telemetry.value c_pool_backoff_waits in
-      let base_breaker = Obs.Telemetry.value c_pool_breaker_trips in
       let beat () =
         incr n_done;
         match heartbeat with
@@ -792,10 +767,6 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                    else 0.0);
                 hb_counters = deltas;
                 hb_timeouts = Obs.Telemetry.value c_pool_timeouts - base_timeouts;
-                hb_backoff_waits =
-                  Obs.Telemetry.value c_pool_backoff_waits - base_backoff;
-                hb_breaker_trips =
-                  Obs.Telemetry.value c_pool_breaker_trips - base_breaker;
               }
       in
       (* a chaos plan with Stall_self faults hangs a watchdog-less pool,
@@ -828,9 +799,9 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       (* A scheduled lethal chaos fault, realized without forking: when a
          task with a planned kill/stall/torn/corrupt runs in the parent,
          record the error the pool would have delivered — same class,
-         byte-identical cause — so checkpoints are deterministic across
-         the Forked/Serial boundary. [k] is the task's index in the fresh
-         (non-resumed) task order, the pool's task array. *)
+         byte-identical cause — so Serial and Forked runs write the same
+         checkpoint. [k] is the task's index in the fresh (non-resumed)
+         task order, the pool's task array. *)
       let simulated_error k =
         match Option.bind chaos (fun p -> Exec.Chaos.task_fault p k) with
         | None -> None
@@ -925,9 +896,8 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
               incr next;
               Option.iter (fun oc -> write_line_checked oc e.eline) oc;
               log
-                (Printf.sprintf "%-24s %s%s" target
-                   (status_to_string e.er.status)
-                   (if e.degraded then " (degraded)" else ""));
+                (Printf.sprintf "%-24s %s" target
+                   (status_to_string e.er.status));
               (match e.er.status with
               | Errored _ -> emit_repro target src (faults_of target) e.efail
               | Completed _ | Truncated _ -> ());
@@ -950,110 +920,68 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
         done;
         raise Interrupted
       in
-      let pool_ran =
-        match executor with
-        | Forked jobs when jobs > 1 ->
-            (* Workers inherit [fresh] across the fork, so a task's
-               payload is just its index. The registry is reset first, so
-               the reply carries this task's telemetry alone, and a worker
-               that dies later loses nothing already delivered. *)
-            let work payload =
-              Obs.Telemetry.reset ();
-              let target, src =
-                fresh.(Option.value ~default:0 (Json.to_int payload))
-              in
-              task_to_wire
-                (traced_task ?prof_dir ~on_task_start ~budgets ~configs
-                   ~faults:(faults_of target) target src)
+      (match executor with
+      | Forked jobs when jobs > 1 ->
+          (* Workers inherit [fresh] across the fork, so a task's payload
+             is just its index. The registry is reset first, so the reply
+             carries this task's telemetry alone, and a worker that dies
+             later loses nothing already delivered. *)
+          let work payload =
+            Obs.Telemetry.reset ();
+            let target, src =
+              fresh.(Option.value ~default:0 (Json.to_int payload))
             in
-            let on_complete k outcome =
-              let target, _ = fresh.(k) in
-              let failed e =
-                let r = errored_result target e in
-                entry ~degraded:false ~tele:None (result_to_json r) r None
-              in
-              decide k
-                (match outcome with
-                | Exec.Pool.Lost cause -> failed (Worker_lost cause)
-                | Exec.Pool.Timed_out d ->
-                    failed (Task_timeout (timeout_cause d))
-                | Exec.Pool.Done wire -> (
-                    let spans, counters = absorb_wire wire in
-                    let line =
-                      Option.value ~default:Json.Null (Json.member "r" wire)
-                    in
-                    match result_of_json line with
-                    | Ok r ->
-                        let tele =
-                          if Obs.Telemetry.enabled () then
-                            Some (spans, counters)
-                          else None
-                        in
-                        entry ~degraded:false ~tele line r
-                          (Option.bind (Json.member "f" wire) failure_of_wire)
-                    | Error m ->
-                        failed
-                          (Worker_lost ("undecodable worker result: " ^ m))))
-            in
-            let breaker = Exec.Breaker.create ~threshold:breaker_threshold () in
-            let backoff =
-              (* seeded from the chaos plan when there is one so the whole
-                 supervised schedule replays from the campaign's single seed *)
-              Exec.Backoff.create
-                ~seed:
-                  (Option.value ~default:0 (Option.bind chaos Exec.Chaos.seed))
-                ()
-            in
-            let _outcomes, stats =
-              Exec.Pool.run ~jobs ~on_complete
-                ~should_stop:(fun () -> !interrupted)
-                ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~work
-                (Array.init n (fun i -> Json.Int i))
-            in
-            if !interrupted then interrupt ();
-            (* Degraded completion: the pool returned early (circuit
-               breaker open, or respawn capacity exhausted) with undecided
-               tasks. The loop below flips Forked -> Serial mid-run and
-               finishes them in the parent. *)
-            Option.iter
-              (fun cause ->
-                let holes =
-                  Array.fold_left
-                    (fun acc e -> if Option.is_none e then acc + 1 else acc)
-                    0 entries
-                in
-                log
-                  (Printf.sprintf
-                     "pool gave up (%s): degrading Forked -> Serial for %d \
-                      remaining task(s)"
-                     cause holes))
-              stats.Exec.Pool.gave_up;
-            true
-        | Serial | Forked _ -> false
-      in
-      (* Every task the pool did not decide runs here, in the parent and
-         in task order; under [Serial] that is every fresh task. *)
-      Array.iteri
-        (fun k e ->
-          if Option.is_none e then begin
-            if !interrupted then interrupt ();
-            if pool_ran then begin
-              incr n_degraded;
-              Obs.Telemetry.incr c_degraded
-            end;
-            let target, src = fresh.(k) in
-            let r, failure, tele =
-              match simulated_error k with
-              | Some e -> (errored_result target e, None, None)
-              | None ->
-                  traced_task ?prof_dir ~on_task_start ~budgets ~configs
-                    ~faults:(faults_of target) target src
+            task_to_wire
+              (traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                 ~faults:(faults_of target) target src)
+          in
+          let on_complete k outcome =
+            let target, _ = fresh.(k) in
+            let failed e =
+              let r = errored_result target e in
+              entry ~tele:None (result_to_json r) r None
             in
             decide k
-              (entry ~degraded:pool_ran ~tele (result_to_json r) r failure)
-          end)
-        entries;
-      if !interrupted then raise Interrupted;
+              (match outcome with
+              | Exec.Pool.Lost cause -> failed (Worker_lost cause)
+              | Exec.Pool.Timed_out d -> failed (Task_timeout (timeout_cause d))
+              | Exec.Pool.Done wire -> (
+                  let spans, counters = absorb_wire wire in
+                  let line =
+                    Option.value ~default:Json.Null (Json.member "r" wire)
+                  in
+                  match result_of_json line with
+                  | Ok r ->
+                      let tele =
+                        if Obs.Telemetry.enabled () then Some (spans, counters)
+                        else None
+                      in
+                      entry ~tele line r
+                        (Option.bind (Json.member "f" wire) failure_of_wire)
+                  | Error m ->
+                      failed (Worker_lost ("undecodable worker result: " ^ m))))
+          in
+          (* the pool decides every task unless the run was interrupted *)
+          ignore
+            (Exec.Pool.run ~jobs ~on_complete
+               ~should_stop:(fun () -> !interrupted)
+               ?task_deadline_s:watchdog_s ?chaos ~work
+               (Array.init n (fun i -> Json.Int i)))
+      | Serial | Forked _ ->
+          (* every task runs here, in the parent and in task order *)
+          Array.iteri
+            (fun k (target, src) ->
+              if !interrupted then interrupt ();
+              let r, failure, tele =
+                match simulated_error k with
+                | Some e -> (errored_result target e, None, None)
+                | None ->
+                    traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                      ~faults:(faults_of target) target src
+              in
+              decide k (entry ~tele (result_to_json r) r failure))
+            fresh);
+      if !interrupted then interrupt ();
       let cursor = ref 0 in
       let results =
         List.map
@@ -1067,7 +995,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                 incr cursor;
                 match entries.(k) with
                 | Some e -> e.er
-                | None -> assert false (* the loop above decided every task *)))
+                | None -> assert false (* every task was decided above *)))
           targets
       in
       let count p = List.length (List.filter p results) in
@@ -1078,7 +1006,6 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
         n_errored = count (fun r -> match r.status with Errored _ -> true | _ -> false);
         n_resumed = !n_resumed;
         n_cached = !n_cached;
-        n_degraded = !n_degraded;
         geomeans = geomeans_of configs results;
         failures = failure_breakdown results;
       })
@@ -1091,7 +1018,6 @@ let summary_to_json (s : summary) =
       ("errored", Json.Int s.n_errored);
       ("resumed", Json.Int s.n_resumed);
       ("cached", Json.Int s.n_cached);
-      ("degraded", Json.Int s.n_degraded);
       ( "geomeans",
         Json.List
           (List.map

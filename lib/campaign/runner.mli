@@ -26,8 +26,8 @@ type error =
 
 (** How tasks are executed: [Serial] in-process (the reference semantics),
     or [Forked jobs] across a {!Exec.Pool} of forked workers, each handed
-    the next task whenever it is idle. [Forked j] with [j <= 1] degrades
-    to [Serial]. *)
+    the next task whenever it is idle. [Forked j] with [j <= 1] runs as
+    [Serial]. *)
 type executor = Serial | Forked of int
 
 (** Raised by {!run} after a SIGINT/SIGTERM: every already-decided result
@@ -92,15 +92,13 @@ type heartbeat = {
   hb_timeouts : int;
       (** watchdog kills so far this campaign (from [pool.timeouts];
           populated while telemetry is enabled) *)
-  hb_backoff_waits : int;  (** respawns delayed by the backoff ladder *)
-  hb_breaker_trips : int;  (** circuit-breaker closed→open transitions *)
 }
 
 (** Render a beat as a one-line progress report:
     ["[3/10] 1.25 tasks/s, eta 5.6s | interp.instructions +1234, ..."]
-    (the three largest counter movements only). Supervision activity —
-    timeouts, backoff waits, breaker trips — is appended when non-zero,
-    so a degraded run is visible while it happens. *)
+    (the three largest counter movements only). Watchdog timeouts are
+    appended when non-zero, so a run that keeps timing out shows it while
+    it happens. *)
 val heartbeat_line : heartbeat -> string
 
 (** The same beat as a JSON object (full counter deltas, not the top-3 of
@@ -117,10 +115,6 @@ type summary = {
   n_cached : int;
       (** subset served from the content-addressed result cache
           ([cache_find]) without executing *)
-  n_degraded : int;
-      (** tasks finished serially in the parent after the pool gave up
-          (circuit breaker open or respawn capacity exhausted); always 0
-          under [Serial] *)
   geomeans : (Loopa.Config.t * float) list;
       (** per config rung, over every task that produced scores *)
   failures : (string * int) list;  (** error class -> count *)
@@ -165,32 +159,27 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     the checkpoint line.
 
     [executor] selects serial or forked-pool execution. Every task runs
-    through one path: under [Forked jobs] the pool runs tasks across
-    [jobs] worker processes, and every task the pool did not decide runs
-    in the parent, in task order, through the same task body. Under
-    [Serial] the pool decides nothing, so that is every task. Either way
-    the checkpoint is the same (modulo wall-clock and telemetry timing
-    fields): results are put back into task order and written by the
-    parent alone. A worker resets its telemetry at the start of every
-    task and ships that task's spans, counter deltas and histograms with
-    its result; the parent absorbs them into its registry, so fleet-wide
-    exports and heartbeats see one registry, and a worker that dies later
-    loses none of the tasks it delivered. A worker death costs exactly its in-flight task
-    ({!Worker_lost}); the worker is respawned and the campaign continues.
+    through one task body: under [Forked jobs] the pool runs the tasks
+    across [jobs] worker processes and decides every one of them unless
+    the run is interrupted; under [Serial] each task runs in the parent,
+    in task order. Either way the checkpoint is the same (modulo
+    wall-clock and telemetry timing fields): results are put back into
+    task order and written by the parent alone. A worker resets its
+    telemetry at the start of every task and ships that task's spans,
+    counter deltas and histograms with its result; the parent absorbs
+    them into its registry, so fleet-wide exports and heartbeats see one
+    registry, and a worker that dies later loses none of the tasks it
+    delivered. A worker death costs exactly its in-flight task
+    ({!Worker_lost}); while tasks are still queued the worker is replaced
+    at once and the campaign continues. A task that kills the process
+    running it therefore never runs in the parent under [Forked].
 
     [on_task_start] runs in the executing process just before a task
     begins — a test hook (e.g. to kill the worker mid-task).
 
-    Supervision. With [budgets.watchdog_s] set, the pool watchdog
-    SIGKILLs any worker whose task outlives the deadline and records
-    {!Task_timeout}. Worker respawns go through an exponential-backoff
-    ladder, and [breaker_threshold] consecutive task failures
-    (lost/timed-out) trip a circuit breaker: instead of burning the
-    respawn budget, the pool returns early and the runner degrades
-    Forked -> Serial {e mid-run}: the remaining tasks run in the parent
-    as above, extending the same checkpoint in task order
-    ([summary.n_degraded] counts them). Respawn-capacity exhaustion takes
-    the same path.
+    Supervision is the pool's watchdog alone. With [budgets.watchdog_s]
+    set, it SIGKILLs any worker whose task outlives the deadline and
+    records {!Task_timeout}.
 
     [chaos] injects a deterministic fault schedule ({!Exec.Chaos.plan}):
     worker-side faults (self-kill, SIGSTOP stall, torn/corrupt/delayed
@@ -198,8 +187,8 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     EIO/ENOSPC on checkpoint writes keyed by write-attempt index (a
     dropped line is logged and re-run on resume). A chaos plan with no
     watchdog configured forces a default deadline so stall faults cannot
-    hang the run. For tasks run in the parent, scheduled lethal faults
-    are {e simulated} — recorded with byte-identical cause strings — so
+    hang the run. Under [Serial], scheduled lethal faults are
+    {e simulated} — recorded with byte-identical cause strings — so
     checkpoints stay deterministic across executors and across same-seed
     runs.
 
@@ -236,7 +225,6 @@ val run :
   ?executor:executor ->
   ?on_task_start:(string -> unit) ->
   ?chaos:Exec.Chaos.plan ->
-  ?breaker_threshold:int ->
   ?cache_find:(string -> result option) ->
   ?cache_store:(string -> result -> unit) ->
   (string * string) list ->

@@ -36,8 +36,6 @@ let seeded ?(rates = default_rates) seed = Seeded { seed; rates }
 
 let explicit ?(ckpt_faults = []) tasks = Explicit { tasks; ckpt = ckpt_faults }
 
-let seed = function Seeded { seed; _ } -> Some seed | Explicit _ -> None
-
 (* splitmix64 finalizer over a key mixed from (seed, lane, index). The
    lane separates independent decisions about the same index (which
    fault, its delay duration, checkpoint faults) so they never alias. *)
@@ -162,9 +160,9 @@ let fault_name = function
 let ckpt_fault_name = function Eio -> "EIO" | Enospc -> "ENOSPC"
 
 (* These strings must match what the pool's reaper reports for the real
-   fault, byte for byte: when the campaign degrades to serial execution
-   it records the scheduled loss without forking, and the checkpoint
-   line must be identical either way. Kill_self dies by its own SIGKILL;
+   fault, byte for byte: a campaign run under the Serial executor records
+   the scheduled loss without forking, and the checkpoint line must be
+   identical either way. Kill_self dies by its own SIGKILL;
    Torn/Corrupt _exit(1) after poisoning the stream; Stall_self is not a
    Lost at all (the watchdog turns it into a timeout). *)
 let simulated_lost_cause = function

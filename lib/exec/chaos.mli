@@ -64,9 +64,6 @@ val seeded : ?rates:rates -> int -> plan
 val explicit :
   ?ckpt_faults:(int * ckpt_fault) list -> (int * task_fault) list -> plan
 
-(** The seed of a {!seeded} plan; [None] for {!explicit} ones. *)
-val seed : plan -> int option
-
 (** The fault scheduled for task index [i], if any. Pure. *)
 val task_fault : plan -> int -> task_fault option
 
@@ -111,10 +108,9 @@ val ckpt_fault_name : ckpt_fault -> string
 
 (** The exact loss cause the pool would report for this fault, byte
     identical to the reaper's string — what the runner records when it
-    simulates a scheduled loss in degraded (serial) mode so checkpoints
-    stay deterministic across the Forked/Serial boundary. [None] for
-    [Stall_self] (surfaces as a watchdog timeout, not a loss) and
-    [Delay_result]. *)
+    simulates a scheduled loss under the [Serial] executor, so
+    checkpoints stay identical across executors. [None] for [Stall_self]
+    (surfaces as a watchdog timeout, not a loss) and [Delay_result]. *)
 val simulated_lost_cause : task_fault -> string option
 
 (** Planned fault counts over task indices [0 .. n-1] (and checkpoint

@@ -6,12 +6,8 @@
 
    Supervision: a watchdog SIGKILLs and reaps any worker whose task
    outlives the per-task wall deadline (the task is delivered as
-   Timed_out, never Lost); respawns are scheduled through an
-   exponential-backoff ladder instead of happening instantly; and a
-   circuit breaker — or exhausted respawn capacity — makes the pool
-   return early with the undecided outcomes still None, so the caller
-   can finish the work another way instead of the pool draining the
-   queue as Lost. *)
+   Timed_out, never Lost), and a dead worker is replaced at once while
+   work is still queued. *)
 
 module Json = Util.Json
 
@@ -20,37 +16,12 @@ type outcome =
   | Lost of string
   | Timed_out of float (* the configured per-task deadline that expired *)
 
-type stats = {
-  forked : int;
-  respawned : int;
-  tasks_lost : int;
-  timeouts : int;
-  backoff_waits : int;
-  backoff_wait_s : float;
-  breaker_trips : int;
-  gave_up : string option;
-}
-
-let zero_stats =
-  {
-    forked = 0;
-    respawned = 0;
-    tasks_lost = 0;
-    timeouts = 0;
-    backoff_waits = 0;
-    backoff_wait_s = 0.0;
-    breaker_trips = 0;
-    gave_up = None;
-  }
-
 let detect_jobs () = max 1 (Domain.recommended_domain_count ())
 
 (* supervision counters; visible in heartbeats and Prometheus export
    when telemetry is enabled, free single-branch no-ops otherwise *)
 let c_respawns = Obs.Telemetry.counter "pool.respawns"
 let c_timeouts = Obs.Telemetry.counter "pool.timeouts"
-let c_backoff_waits = Obs.Telemetry.counter "pool.backoff_waits"
-let c_breaker_trips = Obs.Telemetry.counter "pool.breaker_trips"
 
 (* ---- small wire helpers ---- *)
 
@@ -143,7 +114,6 @@ type worker = {
   mutable running : int option; (* the task sent and not yet answered *)
   mutable started_at : float; (* gettimeofday when [running] was set *)
   mutable alive : bool;
-  mutable respawn_at : float option; (* dead slot scheduled for revival *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -180,82 +150,39 @@ let fork_worker ~other_fds ~worker_init ~work ~chaos =
         running = None;
         started_at = 0.0;
         alive = true;
-        respawn_at = None;
       }
 
 let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
-    ?task_deadline_s ?backoff ?breaker ?chaos ~work (tasks : Json.t array) :
-    outcome option array * stats =
+    ?task_deadline_s ?chaos ~work (tasks : Json.t array) =
   let n = Array.length tasks in
   let outcomes : outcome option array = Array.make n None in
-  if n = 0 then (outcomes, zero_stats)
-  else begin
+  if n > 0 then begin
     let jobs = max 1 (min jobs n) in
-    let backoff =
-      match backoff with Some b -> b | None -> Backoff.create ~seed:0 ()
-    in
     let pending : int Queue.t = Queue.create () in
     for i = 0 to n - 1 do
       Queue.add i pending
     done;
     let decided = ref 0 in
-    let forked = ref 0 in
-    let respawned = ref 0 in
-    let tasks_lost = ref 0 in
-    let timeouts = ref 0 in
-    let backoff_waits = ref 0 in
-    let backoff_wait_s = ref 0.0 in
-    let gave_up : string option ref = ref None in
-    let respawn_budget = ref (n + (2 * jobs)) in
     let workers : worker array ref = ref [||] in
     let other_fds () =
       Array.to_list !workers
       |> List.concat_map (fun w -> if w.alive then [ w.wr; w.rd ] else [])
     in
     let spawn () =
-      incr forked;
       fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~chaos
-    in
-    let record_failure () =
-      Option.iter
-        (fun b ->
-          let was = Breaker.tripped b in
-          Breaker.record_failure b;
-          if (not was) && Breaker.tripped b then
-            Obs.Telemetry.incr c_breaker_trips)
-        breaker
     in
     let deliver i o =
       if outcomes.(i) = None then begin
         outcomes.(i) <- Some o;
         incr decided;
-        (match o with
-        | Lost _ ->
-            incr tasks_lost;
-            record_failure ()
-        | Timed_out _ ->
-            incr timeouts;
-            Obs.Telemetry.incr c_timeouts;
-            record_failure ()
-        | Done _ ->
-            Backoff.reset backoff;
-            Option.iter Breaker.record_success breaker);
         Option.iter (fun f -> f i o) on_complete
       end
     in
-    let respawn_now (w : worker) =
-      incr respawned;
-      Obs.Telemetry.incr c_respawns;
-      let fresh = spawn () in
-      w.pid <- fresh.pid;
-      w.wr <- fresh.wr;
-      w.rd <- fresh.rd;
-      w.respawn_at <- None;
-      w.alive <- true
-    in
     (* A dead worker is reaped at once and costs its in-flight task, which
        is never retried; an interrupted run ([stopping]) leaves that task
-       undecided instead. *)
+       undecided instead. While work is still queued the slot gets a fresh
+       worker at once. Every such death decided a task, so a poison
+       workload forks at most one worker per task. *)
     let rec on_death (w : worker) ~stopping =
       if w.alive then begin
         w.alive <- false;
@@ -264,24 +191,15 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
         let cause = reap w.pid in
         let running = w.running in
         w.running <- None;
-        if not stopping then
+        if not stopping then begin
           Option.iter (fun i -> deliver i (Lost cause)) running;
-        (* Supervised respawn: never instant — each consecutive failure
-           climbs the backoff ladder (a Done resets it), so a poison
-           workload can't turn the parent into a fork storm. A slot with
-           no budget just stays dead; if that was the last capacity the
-           main loop notices and gives up rather than draining the queue
-           as Lost. *)
-        if (not stopping) && (not (Queue.is_empty pending)) && !respawn_budget > 0
-        then begin
-          decr respawn_budget;
-          let delay = Backoff.next backoff in
-          if delay <= 0.0 then respawn_now w
-          else begin
-            incr backoff_waits;
-            Obs.Telemetry.incr c_backoff_waits;
-            backoff_wait_s := !backoff_wait_s +. delay;
-            w.respawn_at <- Some (Unix.gettimeofday () +. delay)
+          if not (Queue.is_empty pending) then begin
+            Obs.Telemetry.incr c_respawns;
+            let fresh = spawn () in
+            w.pid <- fresh.pid;
+            w.wr <- fresh.wr;
+            w.rd <- fresh.rd;
+            w.alive <- true
           end
         end
       end
@@ -317,6 +235,7 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
                   (try Unix.kill w.pid Sys.sigkill
                    with Unix.Unix_error _ -> ());
                   on_death w ~stopping:false;
+                  Obs.Telemetry.incr c_timeouts;
                   deliver i (Timed_out deadline)
               | _ -> ())
             !workers
@@ -344,7 +263,6 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
     in
-    let stopped = ref false in
     Fun.protect
       ~finally:(fun () ->
         Array.iter
@@ -360,69 +278,29 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
         Option.iter (fun b -> ignore (Sys.signal Sys.sigpipe b)) old_sigpipe)
       (fun () ->
         workers := Array.init jobs (fun _ -> spawn ());
-        while !decided < n && (not !stopped) && !gave_up = None do
-          if should_stop () then stopped := true
-          else if
-            match breaker with Some b -> Breaker.tripped b | None -> false
-          then gave_up := Some "circuit breaker open"
-          else begin
-            (* revive dead slots whose backoff delay has elapsed (only
-               if there is still queued work for them to pick up) *)
-            let now = Unix.gettimeofday () in
-            Array.iter
-              (fun w ->
-                match w.respawn_at with
-                | Some t when (not w.alive) && now >= t ->
-                    w.respawn_at <- None;
-                    if not (Queue.is_empty pending) then respawn_now w
-                | _ -> ())
-              !workers;
-            Array.iter feed !workers;
-            let rds =
-              Array.to_list !workers
-              |> List.filter_map (fun w -> if w.alive then Some w.rd else None)
-            in
-            if rds = [] then begin
-              if Array.exists (fun w -> w.respawn_at <> None) !workers then
-                (* every worker is gone but a respawn is scheduled: wait
-                   instead of busy-looping *)
-                Unix.sleepf 0.02
-              else if !decided < n then
-                gave_up := Some "worker respawn capacity exhausted"
-            end
-            else begin
-              let ready =
-                match Unix.select rds [] [] 0.25 with
-                | r, _, _ -> r
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-              in
-              List.iter
-                (fun fd ->
-                  match
-                    Array.find_opt (fun w -> w.alive && w.rd = fd) !workers
-                  with
-                  | None -> ()
-                  | Some w -> (
-                      match Ipc.read fd with
-                      | Ipc.Msg j -> handle_msg w j
-                      | Ipc.Eof -> on_death w ~stopping:(should_stop ())
-                      | exception Ipc.Protocol_error _ ->
-                          on_death w ~stopping:(should_stop ())))
-                ready
-            end;
-            check_watchdog ()
-          end
-        done);
-    ( outcomes,
-      {
-        forked = !forked;
-        respawned = !respawned;
-        tasks_lost = !tasks_lost;
-        timeouts = !timeouts;
-        backoff_waits = !backoff_waits;
-        backoff_wait_s = !backoff_wait_s;
-        breaker_trips =
-          (match breaker with Some b -> Breaker.trips b | None -> 0);
-        gave_up = !gave_up;
-      } )
-  end
+        while !decided < n && not (should_stop ()) do
+          Array.iter feed !workers;
+          let rds =
+            Array.to_list !workers
+            |> List.filter_map (fun w -> if w.alive then Some w.rd else None)
+          in
+          let ready =
+            match Unix.select rds [] [] 0.25 with
+            | r, _, _ -> r
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          in
+          List.iter
+            (fun fd ->
+              match Array.find_opt (fun w -> w.alive && w.rd = fd) !workers with
+              | None -> ()
+              | Some w -> (
+                  match Ipc.read fd with
+                  | Ipc.Msg j -> handle_msg w j
+                  | Ipc.Eof -> on_death w ~stopping:(should_stop ())
+                  | exception Ipc.Protocol_error _ ->
+                      on_death w ~stopping:(should_stop ())))
+            ready;
+          check_watchdog ()
+        done)
+  end;
+  outcomes

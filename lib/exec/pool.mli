@@ -1,5 +1,5 @@
 (** Exec.Pool — a fork-based multi-process worker pool that hands each
-    idle worker one task at a time, with chaos-testable supervision.
+    idle worker one task at a time, supervised by a watchdog.
 
     The pool is generic and dependency-free: tasks and results are opaque
     {!Util.Json.t} payloads, the worker body is an ordinary closure (the
@@ -22,29 +22,23 @@
     retried by the pool — a task that reliably kills its worker must cost
     one task, not the run.
 
-    {b Supervision.} Three mechanisms, all off by default:
-    - {b watchdog} ([task_deadline_s]): any running task that outlives
-      the wall deadline ([Unix.gettimeofday]-based) costs its worker a
-      SIGKILL — which also terminates a SIGSTOP-stalled process — and is
-      delivered as {!Timed_out} carrying the {e configured} deadline, so
-      the outcome is deterministic. The killed worker is reaped before
-      any other task is dispatched, so it costs that one task. Without a
-      watchdog a hung worker stalls the pool forever: deadlines inside
-      the worker are cooperative ([Interp.Machine] polls its own budget)
-      and cannot fire once the process is stopped.
-    - {b backoff} ([backoff]): respawns after a worker death are
-      scheduled through an exponential-backoff ladder with seeded jitter
-      ({!Backoff}) instead of happening instantly; a successful task
-      resets the ladder. Respawns remain bounded by the budget
-      ([n + 2*jobs]).
-    - {b circuit breaker} ([breaker]): the pool records one
-      success/failure per delivered outcome; once the breaker trips
-      ({!Breaker}) — or the respawn capacity is exhausted with work
-      still queued — the pool returns {e early} with the undecided
-      outcomes still [None] and [stats.gave_up] explaining why, instead
-      of draining the queue as {!Lost}. The caller decides what
-      degradation means (the campaign runner finishes the remainder
-      serially).
+    {b Supervision.} One mechanism, off by default: the {b watchdog}
+    ([task_deadline_s]). Any running task that outlives the wall deadline
+    ([Unix.gettimeofday]-based) costs its worker a SIGKILL — which also
+    terminates a SIGSTOP-stalled process — and is delivered as
+    {!Timed_out} carrying the {e configured} deadline, so the outcome is
+    deterministic. The killed worker is reaped before any other task is
+    dispatched, so it costs that one task. Without a watchdog a hung
+    worker stalls the pool forever: deadlines inside the worker are
+    cooperative ([Interp.Machine] polls its own budget) and cannot fire
+    once the process is stopped.
+
+    A dead worker is replaced at once while tasks are still queued, and
+    not once the queue is empty. Every worker is handed a task before the
+    pool next looks for deaths, so each replacement follows a death that
+    decided a task: a workload whose every task kills its worker forks at
+    most one worker per task and never sleeps. The pool decides every
+    task unless [should_stop] ends the run.
 
     {b Chaos.} [chaos] threads a deterministic {!Chaos} fault schedule
     into the worker loop: a scheduled fault fires once the task's frame
@@ -69,29 +63,14 @@ type outcome =
           per-task deadline (the configured value, not the measured
           elapsed — outcomes must not depend on scheduling) *)
 
-type stats = {
-  forked : int;  (** workers forked, including respawns *)
-  respawned : int;
-  tasks_lost : int;
-  timeouts : int;  (** tasks delivered as {!Timed_out} by the watchdog *)
-  backoff_waits : int;  (** respawns that waited on the backoff ladder *)
-  backoff_wait_s : float;  (** total scheduled backoff delay *)
-  breaker_trips : int;  (** closed→open transitions of [breaker] *)
-  gave_up : string option;
-      (** [Some cause] when the pool returned early (breaker open or
-          respawn capacity exhausted) with undecided outcomes left
-          [None] *)
-}
-
 (** Number of usable cores ([Domain.recommended_domain_count]); what
     [--jobs 0] resolves to. Always >= 1. *)
 val detect_jobs : unit -> int
 
 (** [run ~jobs ~work tasks] executes [work tasks.(i)] for every [i] across
     [jobs] forked workers and returns one outcome per task ([None] only
-    when [should_stop] or supervision ([stats.gave_up]) ended the run
-    before the task was dispatched or finished), plus scheduling
-    statistics.
+    when [should_stop] ended the run before the task was dispatched or
+    finished).
 
     [work] runs in the worker process; it should be total — an escaping
     exception costs the task ({!Lost}). [worker_init] runs once in each
@@ -101,26 +80,23 @@ val detect_jobs : unit -> int
     the pool kills its workers and returns with the undecided outcomes
     still [None].
 
-    [task_deadline_s], [backoff], [breaker] and [chaos] are the
-    supervision/chaos knobs described above. A [chaos] plan containing
+    [task_deadline_s] and [chaos] are the supervision and chaos knobs
+    described above. A [chaos] plan containing
     [Stall_self] faults needs a watchdog, or the stalled worker hangs
     the pool by design. [jobs] is clamped to [1 .. Array.length tasks].
 
     The pool temporarily ignores [SIGPIPE] (restored on exit) so a dying
     worker surfaces as [EPIPE]/EOF, never as a fatal signal.
 
-    Telemetry: bumps [pool.respawns], [pool.timeouts],
-    [pool.backoff_waits] and [pool.breaker_trips] counters (no-ops while
-    telemetry is disabled). *)
+    Telemetry: bumps the [pool.respawns] and [pool.timeouts] counters
+    (no-ops while telemetry is disabled). *)
 val run :
   jobs:int ->
   ?worker_init:(unit -> unit) ->
   ?on_complete:(int -> outcome -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?task_deadline_s:float ->
-  ?backoff:Backoff.t ->
-  ?breaker:Breaker.t ->
   ?chaos:Chaos.plan ->
   work:(Util.Json.t -> Util.Json.t) ->
   Util.Json.t array ->
-  outcome option array * stats
+  outcome option array

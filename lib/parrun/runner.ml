@@ -1003,7 +1003,7 @@ let shard_invocation t m (st : loop_stats) (el : elig)
       worker_task m el entry seeds acc_writes
         ~max_writes:t.knobs.max_shard_writes
     in
-    let outs, _pstats =
+    let outs =
       Exec.Pool.run ~jobs:nshards
         ~worker_init:(fun () ->
           Machine.set_delegate m None;

@@ -1,9 +1,10 @@
 (* Chaos-hardened supervision at the campaign level: deterministic fault
    schedules driven through the full runner — watchdog timeouts recorded
-   and resumable, circuit-breaker degradation Forked -> Serial with a
-   complete checkpoint, injected checkpoint-write failures healed by
-   resume, byte-identical outcomes across same-seed runs, salvage of
-   torn checkpoint tails, and worker telemetry that survives the worker.
+   and resumable, a task that kills its process kept out of the parent,
+   the same checkpoint and profiles from Serial and Forked runs, injected
+   checkpoint-write failures healed by resume, byte-identical outcomes
+   across same-seed runs, salvage of torn checkpoint tails, and worker
+   telemetry that survives the worker.
    The pool-level mechanics live in test_exec.ml; this file asserts the
    end-to-end invariants the `chaos` subcommand enforces. *)
 
@@ -111,68 +112,120 @@ let test_task_timeout_codec_roundtrip () =
           Alcotest.failf "class lost in the codec: %s" (Runner.status_to_string st))
   | Error e -> Alcotest.failf "decode failed: %s" e
 
-(* ---- breaker: Forked degrades to Serial mid-run, checkpoint complete ---- *)
+(* ---- executors: what runs where, and what it leaves behind ---- *)
 
-let test_breaker_degrades_forked_to_serial () =
-  let n = 8 in
-  with_tmp (fun ckpt ->
-      let plan =
-        Chaos.explicit (List.init n (fun i -> (i, Chaos.Kill_self)))
-      in
-      let s =
-        Runner.run ~budgets:(budgets ()) ~checkpoint:ckpt ~log:quiet
-          ~executor:(Runner.Forked 2) ~chaos:plan ~breaker_threshold:2 (named n)
-      in
-      Alcotest.(check int) "every task classified" n (List.length s.Runner.results);
-      Alcotest.(check bool) "some tasks finished after degradation" true
-        (s.Runner.n_degraded >= 1);
-      List.iter
-        (fun (r : Runner.result) ->
-          match r.Runner.status with
-          | Runner.Errored (Runner.Worker_lost cause) ->
-              (* degraded-serial simulation must report the exact cause the
-                 pool's reaper would have *)
-              Alcotest.(check string) "deterministic cause"
-                "worker killed by SIGKILL" cause
-          | st ->
-              Alcotest.failf "%s: expected worker-lost, got %s" r.Runner.target
-                (Runner.status_to_string st))
-        s.Runner.results;
-      Alcotest.(check int) "checkpoint is complete" n
-        (List.length (checkpoint_lines ckpt)))
-
-(* The tasks finished in the parent after the pool gave up run through the
-   same task body as the workers' tasks, so --profile-dir still yields one
-   flamegraph per full-fuel attempt. *)
-let test_degraded_tasks_are_profiled () =
+(* Every task kills the process that runs it, as a kernel OOM kill would.
+   Under the pool each one must cost its worker and nothing more: none may
+   run in the parent, the one process that must not die. *)
+let test_killer_task_never_runs_in_parent () =
   let n = 10 in
-  let dir = Filename.temp_file "chaos-prof-" "" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () ->
-      let plan = Chaos.explicit (List.init 4 (fun i -> (i, Chaos.Kill_self))) in
-      let s =
-        Runner.run ~budgets:(budgets ()) ~log:quiet ~prof_dir:dir
-          ~executor:(Runner.Forked 2) ~chaos:plan ~breaker_threshold:2 (named n)
-      in
-      Alcotest.(check bool) "some tasks finished after degradation" true
-        (s.Runner.n_degraded >= 1);
-      List.iter
-        (fun (r : Runner.result) ->
-          match r.Runner.status with
-          | Runner.Completed _ ->
-              let folded = Filename.concat dir (r.Runner.target ^ ".folded") in
-              Alcotest.(check bool) (folded ^ " written") true
-                (Sys.file_exists folded)
-          | _ -> ())
-        s.Runner.results)
+  let me = Unix.getpid () in
+  let ran_here = ref [] in
+  let on_task_start target =
+    if Unix.getpid () = me then ran_here := target :: !ran_here
+    else Unix.kill (Unix.getpid ()) Sys.sigkill
+  in
+  let s =
+    Runner.run ~budgets:(budgets ()) ~log:quiet ~executor:(Runner.Forked 2)
+      ~on_task_start (named n)
+  in
+  Alcotest.(check (list string)) "no task ran in the parent" []
+    (List.rev !ran_here);
+  Alcotest.(check int) "every task classified" n (List.length s.Runner.results);
+  List.iter
+    (fun (r : Runner.result) ->
+      match r.Runner.status with
+      | Runner.Errored (Runner.Worker_lost cause) ->
+          Alcotest.(check string) "reaped cause" "worker killed by SIGKILL" cause
+      | st ->
+          Alcotest.failf "%s: expected worker-lost, got %s" r.Runner.target
+            (Runner.status_to_string st))
+    s.Runner.results
+
+(* Under Serial the runner simulates each planned lethal fault; the error
+   it records must be the one the pool's reaper and watchdog deliver under
+   Forked, cause string included, or the two checkpoints part ways. *)
+let test_serial_and_forked_checkpoints_agree () =
+  let n = 6 in
+  let plan =
+    Chaos.explicit
+      [
+        (1, Chaos.Kill_self);
+        (2, Chaos.Torn_result);
+        (3, Chaos.Corrupt_result);
+        (4, Chaos.Stall_self);
+      ]
+  in
+  let pass executor ckpt =
+    ignore
+      (Runner.run
+         ~budgets:(budgets ~watchdog:1.0 ())
+         ~checkpoint:ckpt ~log:quiet ~executor ~chaos:plan (named n))
+  in
+  with_tmp (fun a ->
+      with_tmp (fun b ->
+          pass Runner.Serial a;
+          pass (Runner.Forked 2) b;
+          let la = List.map normalize (checkpoint_lines a) in
+          let lb = List.map normalize (checkpoint_lines b) in
+          Alcotest.(check int) "one line per task" n (List.length la);
+          Alcotest.(check (list string)) "normalized checkpoints identical" la
+            lb;
+          List.iter
+            (fun (line, needle) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S records %S" line needle)
+                true (contains line needle))
+            [
+              (List.nth la 1, "worker killed by SIGKILL");
+              (List.nth la 2, "worker exited with code 1");
+              (List.nth la 3, "worker exited with code 1");
+              (List.nth la 4, "exceeded 1s per-task watchdog deadline");
+            ]))
+
+(* --profile-dir rides the one task body, so both executors leave one
+   flamegraph per completed task and none for a task chaos killed. *)
+let test_completed_tasks_are_profiled () =
+  let n = 4 in
+  let plan = Chaos.explicit [ (1, Chaos.Kill_self) ] in
+  List.iter
+    (fun (label, executor) ->
+      let dir = Filename.temp_file "chaos-prof-" "" in
+      Sys.remove dir;
+      Fun.protect
+        ~finally:(fun () ->
+          if Sys.file_exists dir then begin
+            Array.iter
+              (fun f -> Sys.remove (Filename.concat dir f))
+              (Sys.readdir dir);
+            Sys.rmdir dir
+          end)
+        (fun () ->
+          let s =
+            Runner.run ~budgets:(budgets ()) ~log:quiet ~prof_dir:dir
+              ~executor ~chaos:plan (named n)
+          in
+          let completed =
+            List.filter_map
+              (fun (r : Runner.result) ->
+                match r.Runner.status with
+                | Runner.Completed _ -> Some (r.Runner.target ^ ".folded")
+                | _ -> None)
+              s.Runner.results
+          in
+          let folded =
+            Array.to_list (Sys.readdir dir)
+            |> List.filter (fun f ->
+                   Filename.check_suffix f ".folded"
+                   && not (Filename.check_suffix f ".samples.folded"))
+            |> List.sort compare
+          in
+          Alcotest.(check int) (label ^ ": the killed task did not complete")
+            (n - 1) (List.length completed);
+          Alcotest.(check (list string))
+            (label ^ ": one .folded per completed task")
+            completed folded))
+    [ ("serial", Runner.Serial); ("forked", Runner.Forked 2) ]
 
 (* ---- same seed, same bytes ---- *)
 
@@ -424,17 +477,16 @@ let test_shard_faults_roll_back_to_serial () =
 
 (* Every scored task observes [evaluate.speedup] once per ladder rung, and
    the histograms of a task a worker finished must reach the parent even
-   when that worker dies later — here, killed by the last task, with and
-   without the breaker giving up on the pool. *)
+   when that worker dies later — here, killed by the last task. *)
 let test_worker_histograms_survive_worker_loss () =
   let n = 6 in
   let plan = Chaos.explicit [ (n - 1, Chaos.Kill_self) ] in
   let rungs = List.length Loopa.Config.figure_ladder in
-  let observe ?breaker_threshold executor =
+  let observe executor =
     Obs.Telemetry.reset ();
     let s =
       Runner.run ~budgets:(budgets ()) ~log:quiet ~executor ~chaos:plan
-        ?breaker_threshold (named n)
+        (named n)
     in
     let scored =
       List.length
@@ -462,14 +514,10 @@ let test_worker_histograms_survive_worker_loss () =
       Alcotest.(check int) "serial: the last task is lost" (n - 1) serial_scored;
       Alcotest.(check int) "serial: one observation per rung per scored task"
         (rungs * serial_scored) serial;
-      List.iter
-        (fun (label, breaker_threshold) ->
-          let scored, count = observe ?breaker_threshold (Runner.Forked 2) in
-          Alcotest.(check int)
-            (label ^ ": one observation per rung per scored task")
-            (rungs * scored) count;
-          Alcotest.(check int) (label ^ ": same as serial") serial count)
-        [ ("kill on the last task", None); ("breaker gives up", Some 1) ])
+      let scored, count = observe (Runner.Forked 2) in
+      Alcotest.(check int) "forked: one observation per rung per scored task"
+        (rungs * scored) count;
+      Alcotest.(check int) "forked: same as serial" serial count)
 
 let () =
   Alcotest.run "chaos"
@@ -481,12 +529,15 @@ let () =
           Alcotest.test_case "task-timeout codec roundtrip" `Quick
             test_task_timeout_codec_roundtrip;
         ] );
-      ( "breaker",
+      ( "executors",
         [
-          Alcotest.test_case "Forked degrades to Serial mid-run" `Quick
-            test_breaker_degrades_forked_to_serial;
-          Alcotest.test_case "degraded tasks are profiled" `Quick
-            test_degraded_tasks_are_profiled;
+          Alcotest.test_case
+            "a task that kills its process never runs in the parent" `Quick
+            test_killer_task_never_runs_in_parent;
+          Alcotest.test_case "Serial and Forked checkpoints agree" `Quick
+            test_serial_and_forked_checkpoints_agree;
+          Alcotest.test_case "completed tasks are profiled" `Quick
+            test_completed_tasks_are_profiled;
         ] );
       ( "determinism",
         [

@@ -2,8 +2,9 @@
    larger than the pipe buffer, clean EOF vs torn frames) and the worker
    pool's contract — index-ordered outcomes, one completion callback per
    task, a slow task that delays only itself, fault isolation (a killed
-   worker costs exactly its in-flight task and is respawned), worker_init
-   in the workers, and prompt shutdown under should_stop. *)
+   worker costs exactly its in-flight task and is respawned at once),
+   worker_init in the workers, prompt shutdown under should_stop, and the
+   watchdog. *)
 
 module J = Util.Json
 module Ipc = Exec.Ipc
@@ -133,6 +134,23 @@ let test_ipc_write_faulty_delay_is_lossless () =
 
 let task_index payload = Option.value ~default:(-1) (J.to_int payload)
 
+(* [f ()] with telemetry on, plus how far it moved the pool's respawn and
+   timeout counters (they count only while telemetry is enabled) *)
+let with_pool_counters f =
+  let respawns = Obs.Telemetry.counter "pool.respawns"
+  and timeouts = Obs.Telemetry.counter "pool.timeouts" in
+  Obs.Telemetry.enable ();
+  Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
+      let r0 = Obs.Telemetry.value respawns
+      and t0 = Obs.Telemetry.value timeouts in
+      let r = f () in
+      (r, Obs.Telemetry.value respawns - r0, Obs.Telemetry.value timeouts - t0))
+
+let count_lost outcomes =
+  Array.fold_left
+    (fun acc o -> match o with Some (Pool.Lost _) -> acc + 1 | _ -> acc)
+    0 outcomes
+
 let test_pool_outcomes_in_index_order () =
   let n = 12 in
   let completions = ref 0 in
@@ -142,10 +160,11 @@ let test_pool_outcomes_in_index_order () =
     if i mod 3 = 0 then Unix.sleepf 0.05;
     J.Int (i * 10)
   in
-  let outcomes, stats =
-    Pool.run ~jobs:4 ~work
-      ~on_complete:(fun _ _ -> incr completions)
-      (Array.init n (fun i -> J.Int i))
+  let outcomes, respawns, _ =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:4 ~work
+          ~on_complete:(fun _ _ -> incr completions)
+          (Array.init n (fun i -> J.Int i)))
   in
   Alcotest.(check int) "every task completed once" n !completions;
   Array.iteri
@@ -156,8 +175,7 @@ let test_pool_outcomes_in_index_order () =
       | Some (Pool.Timed_out _) -> Alcotest.fail "spurious timeout"
       | None -> Alcotest.fail "undecided task")
     outcomes;
-  Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost;
-  Alcotest.(check int) "initial fleet only" 4 stats.Pool.forked
+  Alcotest.(check int) "initial fleet only" 0 respawns
 
 (* ---- pool: one task at a time ---- *)
 
@@ -170,7 +188,7 @@ let test_pool_slow_task_delays_only_itself () =
     J.Int i
   in
   let order = ref [] in
-  let outcomes, _ =
+  let outcomes =
     Pool.run ~jobs:2 ~work
       ~on_complete:(fun i _ -> order := i :: !order)
       (Array.init 12 (fun i -> J.Int i))
@@ -191,13 +209,14 @@ let test_pool_killed_worker_costs_one_task () =
   let work payload =
     let i = task_index payload in
     if i = victim then Unix.kill (Unix.getpid ()) Sys.sigkill;
-    (* keep the queue non-empty past the backoff delay so the respawn
+    (* keep the queue non-empty when the victim dies, so the respawn
        actually happens (an empty queue makes respawning pointless) *)
     Unix.sleepf 0.03;
     J.Int i
   in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~work (Array.init 8 (fun i -> J.Int i))
+  let outcomes, respawns, _ =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:2 ~work (Array.init 8 (fun i -> J.Int i)))
   in
   Array.iteri
     (fun i o ->
@@ -210,11 +229,8 @@ let test_pool_killed_worker_costs_one_task () =
       | Some (Pool.Timed_out _) -> Alcotest.fail "spurious timeout"
       | None -> Alcotest.fail "undecided task")
     outcomes;
-  Alcotest.(check int) "exactly one task lost" 1 stats.Pool.tasks_lost;
-  Alcotest.(check bool) "the dead worker was respawned" true
-    (stats.Pool.respawned >= 1);
-  Alcotest.(check int) "forked = fleet + respawns"
-    (2 + stats.Pool.respawned) stats.Pool.forked
+  Alcotest.(check int) "exactly one task lost" 1 (count_lost outcomes);
+  Alcotest.(check int) "the dead worker was respawned" 1 respawns
 
 let test_pool_worker_exception_is_lost_not_fatal () =
   let work payload =
@@ -222,8 +238,9 @@ let test_pool_worker_exception_is_lost_not_fatal () =
     if i = 2 then failwith "boom";
     J.Int i
   in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~work (Array.init 6 (fun i -> J.Int i))
+  let outcomes, respawns, _ =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:2 ~work (Array.init 6 (fun i -> J.Int i)))
   in
   (match outcomes.(2) with
   | Some (Pool.Lost cause) ->
@@ -238,14 +255,14 @@ let test_pool_worker_exception_is_lost_not_fatal () =
         | _ -> Alcotest.fail "non-raising task damaged")
     outcomes;
   (* the worker survived its exception: no respawn was needed *)
-  Alcotest.(check int) "no respawn" 0 stats.Pool.respawned
+  Alcotest.(check int) "no respawn" 0 respawns
 
 (* ---- pool: worker lifecycle hooks ---- *)
 
 let test_pool_worker_init_runs_in_workers () =
   let inits = ref 0 in
   let work _ = J.Int !inits in
-  let outcomes, _ =
+  let outcomes =
     Pool.run ~jobs:2
       ~worker_init:(fun () -> incr inits)
       ~work
@@ -262,7 +279,7 @@ let test_pool_worker_init_runs_in_workers () =
 
 let test_pool_should_stop_returns_promptly () =
   let work payload = payload in
-  let outcomes, _ =
+  let outcomes =
     Pool.run ~jobs:2
       ~should_stop:(fun () -> true)
       ~work
@@ -274,51 +291,7 @@ let test_pool_should_stop_returns_promptly () =
 let test_detect_jobs_positive () =
   Alcotest.(check bool) "at least one core" true (Pool.detect_jobs () >= 1)
 
-(* ---- backoff ---- *)
-
-module Backoff = Exec.Backoff
-module Breaker = Exec.Breaker
 module Chaos = Exec.Chaos
-
-let test_backoff_ladder_and_reset () =
-  (* jitter off: the ladder is exactly base * factor^k, capped *)
-  let t =
-    Backoff.create ~base_s:0.1 ~factor:2.0 ~max_s:0.5 ~jitter:0.0 ~seed:0 ()
-  in
-  Alcotest.(check (list (float 1e-9)))
-    "exponential ladder, capped"
-    [ 0.1; 0.2; 0.4; 0.5; 0.5 ]
-    (List.init 5 (fun _ -> Backoff.next t));
-  Backoff.reset t;
-  Alcotest.(check (float 1e-9)) "reset restarts the ladder" 0.1 (Backoff.next t);
-  Alcotest.(check int) "attempts counted across resets" 6 (Backoff.attempts t)
-
-let test_backoff_same_seed_same_delays () =
-  let seq seed =
-    let t = Backoff.create ~seed () in
-    List.init 8 (fun _ -> Backoff.next t)
-  in
-  Alcotest.(check (list (float 0.0))) "same seed, same jittered delays"
-    (seq 42) (seq 42);
-  Alcotest.(check bool) "different seed, different jitter" true
-    (seq 42 <> seq 43)
-
-(* ---- breaker ---- *)
-
-let test_breaker_trips_and_resets () =
-  let b = Breaker.create ~threshold:3 () in
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check bool) "below threshold" false (Breaker.tripped b);
-  Breaker.record_success b;
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check bool) "a success resets the streak" false (Breaker.tripped b);
-  Breaker.record_failure b;
-  Alcotest.(check bool) "trips at threshold" true (Breaker.tripped b);
-  Alcotest.(check int) "one closed->open transition" 1 (Breaker.trips b);
-  Breaker.reset b;
-  Alcotest.(check bool) "reset closes it" false (Breaker.tripped b)
 
 (* ---- pool: supervision ---- *)
 
@@ -329,9 +302,10 @@ let test_pool_watchdog_reaps_stalled_task () =
     if i = victim then Unix.sleepf 30.0;
     J.Int i
   in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~work
-      (Array.init 4 (fun i -> J.Int i))
+  let outcomes, _, timeouts =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:2 ~task_deadline_s:0.5 ~work
+          (Array.init 4 (fun i -> J.Int i)))
   in
   (match outcomes.(victim) with
   | Some (Pool.Timed_out d) ->
@@ -344,7 +318,7 @@ let test_pool_watchdog_reaps_stalled_task () =
         | Some (Pool.Done r) -> Alcotest.check json "survivor" (J.Int i) r
         | _ -> Alcotest.fail "non-stalled task damaged")
     outcomes;
-  Alcotest.(check int) "one timeout" 1 stats.Pool.timeouts
+  Alcotest.(check int) "one timeout" 1 timeouts
 
 let test_pool_watchdog_reaps_sigstopped_worker () =
   (* the hard case: a SIGSTOP'd worker makes no syscalls and holds its
@@ -352,9 +326,10 @@ let test_pool_watchdog_reaps_sigstopped_worker () =
   let chaos = Chaos.explicit [ (2, Chaos.Stall_self) ] in
   let work payload = J.Int (task_index payload) in
   let t0 = Unix.gettimeofday () in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~chaos ~work
-      (Array.init 5 (fun i -> J.Int i))
+  let outcomes, _, timeouts =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:2 ~task_deadline_s:0.5 ~chaos ~work
+          (Array.init 5 (fun i -> J.Int i)))
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match outcomes.(2) with
@@ -363,7 +338,7 @@ let test_pool_watchdog_reaps_sigstopped_worker () =
   Alcotest.(check bool)
     (Printf.sprintf "reaped promptly (%.2fs), not hung" elapsed)
     true (elapsed < 5.0);
-  Alcotest.(check int) "one timeout" 1 stats.Pool.timeouts;
+  Alcotest.(check int) "one timeout" 1 timeouts;
   Array.iteri
     (fun i o ->
       if i <> 2 then
@@ -381,9 +356,10 @@ let test_pool_watchdog_kill_costs_one_task () =
     if i = 0 then Unix.sleepf 30.0;
     J.Int i
   in
-  let outcomes, stats =
-    Pool.run ~jobs:1 ~task_deadline_s:0.3 ~work
-      (Array.init 4 (fun i -> J.Int i))
+  let outcomes, _, timeouts =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:1 ~task_deadline_s:0.3 ~work
+          (Array.init 4 (fun i -> J.Int i)))
   in
   (match outcomes.(0) with
   | Some (Pool.Timed_out d) ->
@@ -397,33 +373,38 @@ let test_pool_watchdog_kill_costs_one_task () =
         | Some (Pool.Lost c) -> Alcotest.failf "task %d lost: %s" i c
         | _ -> Alcotest.failf "task %d timed out or undecided" i)
     outcomes;
-  Alcotest.(check int) "one timeout" 1 stats.Pool.timeouts;
-  Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost
+  Alcotest.(check int) "one timeout" 1 timeouts
 
-let test_pool_breaker_gives_up_early () =
-  (* every dispatched task kills its worker: after [threshold] consecutive
-     losses the pool must stop feeding the collapse and return early with
-     the tail undecided, not drain it as Lost *)
-  let work payload =
-    let i = task_index payload in
-    if i < 6 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-    J.Int i
+let test_pool_poison_streak_never_sleeps () =
+  (* every task SIGKILLs its worker: each death costs its own task and the
+     slot is refilled at once, so the streak forks at most one worker per
+     task and never waits between them *)
+  let work _ =
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    J.Null
   in
-  let breaker = Breaker.create ~threshold:2 () in
-  let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~breaker ~backoff ~work
-      (Array.init 12 (fun i -> J.Int i))
+  let n = 12 in
+  let t0 = Unix.gettimeofday () in
+  let outcomes, respawns, _ =
+    with_pool_counters (fun () ->
+        Pool.run ~jobs:2 ~work (Array.init n (fun i -> J.Int i)))
   in
-  (match stats.Pool.gave_up with
-  | Some cause ->
-      Alcotest.(check bool) "names the breaker" true (contains cause "breaker")
-  | None -> Alcotest.fail "pool should give up once the breaker trips");
-  Alcotest.(check bool) "breaker tripped" true (stats.Pool.breaker_trips >= 1);
-  Alcotest.(check bool) "at least threshold losses" true
-    (stats.Pool.tasks_lost >= 2);
-  Alcotest.(check bool) "undecided work remains (not drained as Lost)" true
-    (Array.exists (fun o -> o = None) outcomes)
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Some (Pool.Lost cause) ->
+          Alcotest.(check bool) "cause names the signal" true
+            (contains cause "SIGKILL")
+      | Some _ -> Alcotest.failf "task %d outlived its SIGKILL" i
+      | None -> Alcotest.failf "task %d left undecided" i)
+    outcomes;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one respawn per task (%d)" respawns)
+    true (respawns <= n);
+  Alcotest.(check bool)
+    (Printf.sprintf "no respawn delay (%.2fs)" elapsed)
+    true (elapsed < 2.0)
 
 (* ---- pool: chaos faults surface as the right outcomes ---- *)
 
@@ -433,11 +414,7 @@ let test_pool_chaos_lethal_faults_cost_their_task () =
       [ (1, Chaos.Kill_self); (3, Chaos.Torn_result); (4, Chaos.Corrupt_result) ]
   in
   let work payload = J.Int (task_index payload * 2) in
-  let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~backoff ~chaos ~work
-      (Array.init 6 (fun i -> J.Int i))
-  in
+  let outcomes = Pool.run ~jobs:2 ~chaos ~work (Array.init 6 (fun i -> J.Int i)) in
   let lethal = [ 1; 3; 4 ] in
   Array.iteri
     (fun i o ->
@@ -460,21 +437,18 @@ let test_pool_chaos_lethal_faults_cost_their_task () =
       | Some (Pool.Timed_out _) -> Alcotest.fail "no stall was planned"
       | None -> Alcotest.fail "undecided task")
     outcomes;
-  Alcotest.(check int) "three losses" 3 stats.Pool.tasks_lost
+  Alcotest.(check int) "three losses" 3 (count_lost outcomes)
 
 let test_pool_chaos_delay_is_lossless () =
   let chaos = Chaos.explicit [ (0, Chaos.Delay_result 0.1) ] in
   let work payload = J.Int (task_index payload) in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~chaos ~work (Array.init 4 (fun i -> J.Int i))
-  in
+  let outcomes = Pool.run ~jobs:2 ~chaos ~work (Array.init 4 (fun i -> J.Int i)) in
   Array.iteri
     (fun i o ->
       match o with
       | Some (Pool.Done r) -> Alcotest.check json "result" (J.Int i) r
       | _ -> Alcotest.fail "delay must not lose the task")
-    outcomes;
-  Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost
+    outcomes
 
 let () =
   Alcotest.run "exec"
@@ -511,20 +485,15 @@ let () =
         ] );
       ( "supervision",
         [
-          Alcotest.test_case "backoff ladder and reset" `Quick
-            test_backoff_ladder_and_reset;
-          Alcotest.test_case "backoff determinism" `Quick
-            test_backoff_same_seed_same_delays;
-          Alcotest.test_case "breaker trips and resets" `Quick
-            test_breaker_trips_and_resets;
           Alcotest.test_case "watchdog reaps a stalled task" `Quick
             test_pool_watchdog_reaps_stalled_task;
           Alcotest.test_case "watchdog reaps a SIGSTOP'd worker" `Quick
             test_pool_watchdog_reaps_sigstopped_worker;
           Alcotest.test_case "watchdog kill costs one task" `Quick
             test_pool_watchdog_kill_costs_one_task;
-          Alcotest.test_case "breaker gives up early" `Quick
-            test_pool_breaker_gives_up_early;
+          Alcotest.test_case
+            "a poison streak costs one task each, without sleeping" `Quick
+            test_pool_poison_streak_never_sleeps;
           Alcotest.test_case "chaos lethal faults cost one task each" `Quick
             test_pool_chaos_lethal_faults_cost_their_task;
           Alcotest.test_case "chaos delay is lossless" `Quick

@@ -80,6 +80,21 @@ let test_pdoall_commit_satisfies () =
   let chain = input ~conflicts:(List.init 9 (fun i -> (i + 1, 0.0))) (List.init 10 (fun _ -> 3.0)) in
   check_cost "chain serial" None (Loopa.Model.pdoall_cost chain)
 
+(* Partial-DOALL is not monotone in its conflict set, by the paper's commit
+   rule: a producer from before the current phase's start counts as
+   committed. Without (2<-1) no phase starts at iteration 2, so producer 1
+   is still in flight when iteration 4 reads it, and that restart costs a
+   second 10-instruction phase. *)
+let test_pdoall_not_monotone_in_conflicts () =
+  let costs = [ 1.0; 1.0; 10.0; 1.0; 10.0 ] in
+  let pdoall far_conflicts =
+    Loopa.Model.cost Loopa.Config.Pdoall (input ~far_conflicts costs)
+  in
+  Alcotest.check ckf "serial" 23.0 (input costs).Loopa.Model.serial;
+  check_cost "(2<-1) and (4<-1)" (Some 11.0)
+    (pdoall [ (2, 0.0, 1); (4, 0.0, 1) ]);
+  check_cost "(4<-1) alone" (Some 20.0) (pdoall [ (4, 0.0, 1) ])
+
 let test_pdoall_cutoff () =
   (* 10 iterations: 8 conflicts = exactly 80% -> still allowed;
      9 conflicts > 80% -> serial *)
@@ -338,6 +353,8 @@ let () =
           Alcotest.test_case "pdoall phases" `Quick test_pdoall_phases;
           Alcotest.test_case "pdoall commit satisfies" `Quick test_pdoall_commit_satisfies;
           Alcotest.test_case "pdoall 80% cutoff" `Quick test_pdoall_cutoff;
+          Alcotest.test_case "pdoall not monotone in its conflicts" `Quick
+            test_pdoall_not_monotone_in_conflicts;
           Alcotest.test_case "helix formula" `Quick test_helix;
           Alcotest.test_case "serial cutoff" `Quick test_model_serial_cutoff;
         ] );

@@ -230,7 +230,6 @@ let test_render_campaign_summary_notes () =
       n_errored = 0;
       n_resumed;
       n_cached;
-      n_degraded = 0;
       geomeans = [];
       failures = [];
     }
