@@ -117,9 +117,11 @@ val fuel : t -> int
 
 (** {2 Self-profiling (lib/prof)}
 
-    Both facilities follow the lib/obs zero-cost-when-off contract: until
-    enabled, the per-instruction overhead is one array-length read (opcode
-    counters) plus one integer compare (sampler). *)
+    Both facilities follow the lib/obs zero-cost-when-off contract. Until
+    enabled, the opcode counters cost one array-length read per
+    instruction. The sampler costs nothing per instruction, armed or not:
+    its next sample joins fuel, fault stamps and the deadline poll in the
+    one next-event clock that every tick compares against. *)
 
 (** Allocate the per-opcode retired-instruction counters. Counts partition
     the clock exactly: IR constructors by {!Ir.Instr.opcode}, plus a
@@ -139,7 +141,7 @@ val opcode_counts : t -> (string * int) list
     @raise Invalid_argument when [period <= 0] *)
 val set_sampler : t -> period:int -> (int -> unit) -> unit
 
-(** Disarm the sampler (back to the one-compare-per-tick null path). *)
+(** Disarm the sampler. *)
 val clear_sampler : t -> unit
 
 (** Swap the instrumentation hooks. Shard workers install their access

@@ -15,7 +15,7 @@
    folded exports — those stay byte-deterministic — only the flat summary.
 
    The sampling profile is independent of the hook stream: the machine's
-   countdown sampler (a pure function of the clock) calls back every
+   sampler (a pure function of the clock) calls back every
    [sample_period] retired instructions and we record the current folded
    key, so sample placement is identical across runs of the same program. *)
 

@@ -491,6 +491,24 @@ let test_malformed_taken () =
       Alcotest.(check int) (msg ^ ": clock") clock (Interp.Machine.clock m))
     malformed_cases
 
+(* Heap words the engine allocates per retired instruction on an unhooked,
+   default-fuel run, counted as minor + major - promoted so a promoted
+   word is not counted twice. *)
+let test_alloc_per_instruction () =
+  let b = Option.get (Suites.Suite.find "179_art") in
+  let m = Frontend.compile_exn b.Suites.Suite.source in
+  Cfg.Loop_simplify.run_module m;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let out = Interp.Machine.run_main (Interp.Machine.create m) in
+  let per_instr = (words () -. before) /. float_of_int out.Interp.Machine.clock in
+  check_stop "179_art completes" Interp.Machine.Completed out;
+  if per_instr > 4.0 then
+    Alcotest.failf "%.2f words allocated per instruction, ceiling 4" per_instr
+
 let () =
   Alcotest.run "interp"
     [
@@ -542,5 +560,7 @@ let () =
           Alcotest.test_case "fuel-out fault at 0" `Quick test_fuel_out_at_zero;
           Alcotest.test_case "malformed IR untaken" `Quick test_malformed_untaken;
           Alcotest.test_case "malformed IR taken" `Quick test_malformed_taken;
+          Alcotest.test_case "allocation per instruction" `Quick
+            test_alloc_per_instruction;
         ] );
     ]
