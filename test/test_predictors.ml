@@ -183,6 +183,89 @@ let test_bits_of_rv () =
   Alcotest.(check int64) "float bits" (Int64.bits_of_float 2.5)
     (Predictors.Hybrid.bits_of_rv (Interp.Rvalue.Vfloat 2.5))
 
+(* Ablation C of [bench/main.exe --ablation] through the listener: the
+   default bank, then each component alone, on the same four programs at the
+   same fuel. Per program the register-LCD instance count is bank-independent;
+   each bank pins its summed mispredicts and its reduc1-dep2-fn2 PDOALL
+   speedup, by bit pattern. *)
+let ablation_programs = [ "181_mcf"; "254_gap"; "164_gzip"; "456_hmmer" ]
+
+let ablation_instances = [ 2100; 6000; 4927; 20000 ]
+
+let ablation_banks =
+  let single mk = Some (fun () -> Predictors.Hybrid.create ~components:(Some [ mk () ]) ()) in
+  [
+    ( "hybrid-of-4",
+      None,
+      [
+        (2073, 0x400b3bbc3421de82L);
+        (3679, 0x400ea3f8b957959bL);
+        (4004, 0x4002863dc81d1dbfL);
+        (966, 0x40416e3c4bc6814aL);
+      ] );
+    ( "last-value",
+      single Predictors.Last_value.create,
+      [
+        (2099, 0x400b3bbc3421de82L);
+        (5295, 0x3ff3b122d0bd013bL);
+        (4618, 0x3ffe98c1b4cb9e1bL);
+        (1022, 0x40416e3c4bc6814aL);
+      ] );
+    ( "stride",
+      single Predictors.Stride.create,
+      [
+        (2084, 0x400b3bbc3421de82L);
+        (4557, 0x3ffdec4f809be611L);
+        (4005, 0x4002863dc81d1dbfL);
+        (1191, 0x40416e3c4bc6814aL);
+      ] );
+    ( "2-delta",
+      single Predictors.Two_delta.create,
+      [
+        (2088, 0x400b3bbc3421de82L);
+        (4342, 0x40012ec53570c35dL);
+        (4010, 0x40027f024851b079L);
+        (1007, 0x40416e3c4bc6814aL);
+      ] );
+    ( "fcm",
+      single (fun () -> Predictors.Fcm.create ()),
+      [
+        (2100, 0x400b3bbc3421de82L);
+        (5925, 0x3ff0000000000000L);
+        (4622, 0x3ffe98c1b4cb9e1bL);
+        (1716, 0x40416e3c4bc6814aL);
+      ] );
+  ]
+
+let test_ablation_banks () =
+  let cfg = Loopa.Config.of_string "reduc1-dep2-fn2 PDOALL" in
+  List.iter
+    (fun (bank, make_predictor, expected) ->
+      List.iteri
+        (fun i name ->
+          let mispredicts, speedup_bits = List.nth expected i in
+          let b = Option.get (Suites.Suite.find name) in
+          let a =
+            Loopa.Driver.analyze_source ?make_predictor ~fuel:200_000_000
+              b.Suites.Suite.source
+          in
+          let instances, missed =
+            Array.fold_left
+              (fun acc (inv : Loopa.Profile.inv) ->
+                Array.fold_left
+                  (fun (n, m) (tr : Loopa.Profile.reg_track) ->
+                    (n + tr.Loopa.Profile.n_instances, m + tr.Loopa.Profile.n_mispredicts))
+                  acc inv.Loopa.Profile.tracks)
+              (0, 0) a.Loopa.Driver.profile.Loopa.Profile.invs
+          in
+          let what = Printf.sprintf "%s %s" bank name in
+          Alcotest.(check int) (what ^ " instances") (List.nth ablation_instances i) instances;
+          Alcotest.(check int) (what ^ " mispredicts") mispredicts missed;
+          Alcotest.(check int64) (what ^ " speedup bits") speedup_bits
+            (Int64.bits_of_float (Loopa.Driver.evaluate a cfg).Loopa.Evaluate.speedup))
+        ablation_programs)
+    ablation_banks
+
 let () =
   Alcotest.run "predictors"
     [
@@ -205,4 +288,5 @@ let () =
           Alcotest.test_case "counters interned once" `Quick
             test_hybrid_counters_interned;
         ] );
+      ("ablation", [ Alcotest.test_case "Ablation C banks" `Quick test_ablation_banks ]);
     ]
