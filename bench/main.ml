@@ -596,31 +596,27 @@ let ablation_helix_delta () =
 let ablation_predictors () =
   section "Ablation C — predictor bank under dep2 (paper: perfect hybrid of 4)";
   let banks =
-    [
-      ("hybrid-of-4", None);
-      ("last-value", Some (fun () -> [ Predictors.Last_value.create () ]));
-      ("stride", Some (fun () -> [ Predictors.Stride.create () ]));
-      ("2-delta", Some (fun () -> [ Predictors.Two_delta.create () ]));
-      ("fcm", Some (fun () -> [ Predictors.Fcm.create () ]));
-    ]
+    Predictors.Hybrid.
+      [
+        ("hybrid-of-4", all);
+        ("last-value", [ Last_value ]);
+        ("stride", [ Stride ]);
+        ("2-delta", [ Two_delta ]);
+        ("fcm", [ Fcm ]);
+      ]
   in
   let names = [ "181_mcf"; "254_gap"; "164_gzip"; "456_hmmer" ] in
   let t = Report.Table.create ("bank" :: names) in
   let cfg = Loopa.Config.of_string "reduc1-dep2-fn2 PDOALL" in
   List.iter
-    (fun (label, components) ->
-      let make_predictor =
-        Option.map
-          (fun mk () -> Predictors.Hybrid.create ~components:(Some (mk ())) ())
-          components
-      in
+    (fun (label, predictors) ->
       Report.Table.add_row t
         (label
         :: List.map
              (fun name ->
                let b = Option.get (Suites.Suite.find name) in
                let a =
-                 Loopa.Driver.analyze_source ?make_predictor ~fuel:200_000_000
+                 Loopa.Driver.analyze_source ~predictors ~fuel:200_000_000
                    b.Suites.Suite.source
                in
                Printf.sprintf "%.2f" (Loopa.Driver.evaluate a cfg).Loopa.Evaluate.speedup)

@@ -5,24 +5,19 @@
      dune exec examples/value_prediction_demo.exe
 *)
 
+(* Percentage of [stream] a bank of [components] predicts. *)
+let accuracy components stream =
+  let hits = Predictors.Hybrid.hits (Predictors.Hybrid.create ~components ()) stream in
+  100.0 *. float_of_int (List.length (List.filter Fun.id hits))
+  /. float_of_int (List.length stream)
+
 let show_stream name stream =
   Printf.printf "%-34s" name;
   List.iter
-    (fun mk ->
-      let p = mk () in
-      Printf.printf "  %s %4.0f%%" p.Predictors.Predictor.name
-        (100.0 *. Predictors.Predictor.accuracy p stream))
-    [
-      Predictors.Last_value.create;
-      Predictors.Stride.create;
-      Predictors.Two_delta.create;
-      (fun () -> Predictors.Fcm.create ());
-    ];
-  let h = Predictors.Hybrid.create () in
-  let hits = List.filter Fun.id (Predictors.Hybrid.hits h stream) in
-  Printf.printf "  hybrid %4.0f%%\n"
-    (100.0 *. float_of_int (List.length hits) /. float_of_int (List.length stream));
-  ()
+    (fun c ->
+      Printf.printf "  %s %4.0f%%" (Predictors.Hybrid.name c) (accuracy [ c ] stream))
+    Predictors.Hybrid.all;
+  Printf.printf "  hybrid %4.0f%%\n" (accuracy Predictors.Hybrid.all stream)
 
 let () =
   print_endline "predictor accuracy per stream (the hybrid is their union):";

@@ -176,7 +176,7 @@ let prepare ?(optimize = false) (m : Ir.Func.modul) : Classify.module_static =
    call depth, heap, wall deadline) truncates rather than fails: the machine
    closes open invocations and the profile is marked [truncated]. *)
 let profiling_machine ?(fuel = Config.default_fuel) ?mem_limit ?max_depth
-    ?deadline ?faults ?make_predictor ?(static_prune = true)
+    ?deadline ?faults ?predictors ?(static_prune = true)
     ?(observe_ranges = false) ?hotspot (ms : Classify.module_static) :
     Profile.t * Interp.Machine.t =
   let def_maps = Hashtbl.create 16 in
@@ -190,7 +190,7 @@ let profiling_machine ?(fuel = Config.default_fuel) ?mem_limit ?max_depth
       Hashtbl.replace watch_plans fname plan;
       Hashtbl.replace def_maps fname defs)
     ms.Classify.funcs;
-  let profiler = Profile.create ?make_predictor ~static_prune ms ~def_maps in
+  let profiler = Profile.create ?predictors ~static_prune ms ~def_maps in
   (* the hotspot profiler tees the hooks (its shadow stack observes the
      same call/loop events the profiler consumes) and arms the machine's
      opcode counters and deterministic sampler *)
@@ -217,12 +217,12 @@ let finish_profile (ms : Classify.module_static) (profiler : Profile.t)
     truncated = (outcome.Interp.Machine.stop <> Interp.Machine.Completed);
   }
 
-let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
-    ?make_predictor ?static_prune ?observe_ranges ?hotspot
-    (ms : Classify.module_static) : Profile.profile =
+let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+    ?static_prune ?observe_ranges ?hotspot (ms : Classify.module_static) :
+    Profile.profile =
   let profiler, machine =
-    profiling_machine ?fuel ?mem_limit ?max_depth ?deadline ?faults
-      ?make_predictor ?static_prune ?observe_ranges ?hotspot ms
+    profiling_machine ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+      ?static_prune ?observe_ranges ?hotspot ms
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Prof.Hotspot.finish hotspot)
@@ -241,12 +241,12 @@ let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
    the moment a trap fired baked into the fingerprint, which an exception
    cannot carry. Budget exhaustion is still a success (a truncated
    profile), matching [profile_module]. *)
-let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults
-    ?make_predictor ?static_prune ?observe_ranges ?hotspot
-    (ms : Classify.module_static) : (Profile.profile, failure) result =
+let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
+    ?observe_ranges ?hotspot (ms : Classify.module_static) :
+    (Profile.profile, failure) result =
   let profiler, machine =
     profiling_machine ?fuel ?mem_limit ?max_depth ?deadline ?faults
-      ?make_predictor ?static_prune ?observe_ranges ?hotspot ms
+      ?static_prune ?observe_ranges ?hotspot ms
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Prof.Hotspot.finish hotspot)
@@ -281,7 +281,7 @@ let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults
           message = "stack overflow during execution";
         }
 
-let analyze_source ?fuel ?mem_limit ?max_depth ?deadline ?faults ?make_predictor
+let analyze_source ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
     ?optimize ?static_prune ?observe_ranges ?hotspot (src : string) : analysis =
   Obs.Telemetry.with_span "analyze" @@ fun () ->
   let m = Frontend.compile_exn src in
@@ -289,20 +289,19 @@ let analyze_source ?fuel ?mem_limit ?max_depth ?deadline ?faults ?make_predictor
   {
     ms;
     profile =
-      profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
-        ?make_predictor ?static_prune ?observe_ranges ?hotspot ms;
+      profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+        ?static_prune ?observe_ranges ?hotspot ms;
   }
 
-let analyze_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?make_predictor
-    ?optimize ?static_prune ?observe_ranges ?hotspot (m : Ir.Func.modul) :
-    analysis =
+let analyze_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?optimize
+    ?static_prune ?observe_ranges ?hotspot (m : Ir.Func.modul) : analysis =
   Obs.Telemetry.with_span "analyze" @@ fun () ->
   let ms = prepare ?optimize m in
   {
     ms;
     profile =
       profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
-        ?make_predictor ?static_prune ?observe_ranges ?hotspot ms;
+        ?static_prune ?observe_ranges ?hotspot ms;
   }
 
 let evaluate ?knobs (a : analysis) (config : Config.t) : Evaluate.report =

@@ -65,10 +65,13 @@ val prepare : ?optimize:bool -> Ir.Func.modul -> Classify.module_static
 (** Execute the instrumented program once and collect the dynamic profile.
     [fuel] bounds the interpreted instruction count (default
     {!Config.default_fuel}); [mem_limit], [max_depth], [deadline] and
-    [faults] pass through to {!Interp.Machine.create}. Exhausting any budget
-    truncates gracefully: the machine closes open loop invocations and call
-    frames and the profile comes back with [truncated = true], still
-    scorable by {!Evaluate} over the executed prefix. [static_prune]
+    [faults] pass through to {!Interp.Machine.create}. [predictors]
+    (default {!Predictors.Hybrid.all}) selects the components of every
+    register LCD's value-predictor bank under dep2 (ablation studies).
+    Exhausting any budget truncates gracefully: the machine closes open
+    loop invocations and call frames and the profile comes back with
+    [truncated = true], still scorable by {!Evaluate} over the executed
+    prefix. [static_prune]
     (default true) drops statically Proven_doall loops from the memory-event
     stream — sound for evaluation, since such loops never record conflicts;
     pass false to collect the unpruned profile (what {!Crosscheck} validates
@@ -84,7 +87,7 @@ val profile_module :
   ?max_depth:int ->
   ?deadline:float ->
   ?faults:Interp.Machine.fault_plan ->
-  ?make_predictor:(unit -> Predictors.Hybrid.t) ->
+  ?predictors:Predictors.Hybrid.component list ->
   ?static_prune:bool ->
   ?observe_ranges:bool ->
   ?hotspot:Prof.Hotspot.t ->
@@ -101,7 +104,6 @@ val profile_result :
   ?max_depth:int ->
   ?deadline:float ->
   ?faults:Interp.Machine.fault_plan ->
-  ?make_predictor:(unit -> Predictors.Hybrid.t) ->
   ?static_prune:bool ->
   ?observe_ranges:bool ->
   ?hotspot:Prof.Hotspot.t ->
@@ -118,7 +120,7 @@ val analyze_source :
   ?max_depth:int ->
   ?deadline:float ->
   ?faults:Interp.Machine.fault_plan ->
-  ?make_predictor:(unit -> Predictors.Hybrid.t) ->
+  ?predictors:Predictors.Hybrid.component list ->
   ?optimize:bool ->
   ?static_prune:bool ->
   ?observe_ranges:bool ->
@@ -133,7 +135,6 @@ val analyze_module :
   ?max_depth:int ->
   ?deadline:float ->
   ?faults:Interp.Machine.fault_plan ->
-  ?make_predictor:(unit -> Predictors.Hybrid.t) ->
   ?optimize:bool ->
   ?static_prune:bool ->
   ?observe_ranges:bool ->

@@ -92,7 +92,7 @@ type t = {
   mutable stack : inv list; (* innermost first *)
   mutable frames : func_ctx list; (* call stack, innermost first *)
   funcs : (string, func_ctx) Hashtbl.t;
-  make_predictor : unit -> Predictors.Hybrid.t; (* predictor bank (ablation) *)
+  predictors : Predictors.Hybrid.component list; (* each bank's components (ablation) *)
   static_prune : bool; (* honor Proven_doall verdicts when tracking memory *)
   phi_obs : (string * int, int64 * int64) Hashtbl.t;
       (* (fname, phi_id) -> (min, max) integer value observed at any header
@@ -126,8 +126,8 @@ let dummy_inv =
     track_mem = true;
   }
 
-let create ?(make_predictor = fun () -> Predictors.Hybrid.create ())
-    ?(static_prune = true) (ms : Classify.module_static) ~def_maps : t =
+let create ?(predictors = Predictors.Hybrid.all) ?(static_prune = true)
+    (ms : Classify.module_static) ~def_maps : t =
   let funcs = Hashtbl.create 16 in
   Hashtbl.iter
     (fun fname (fs : Classify.func_static) ->
@@ -152,7 +152,7 @@ let create ?(make_predictor = fun () -> Predictors.Hybrid.create ())
     stack = [];
     frames = [];
     funcs;
-    make_predictor;
+    predictors;
     static_prune;
     phi_obs = Hashtbl.create 64;
     last_write = [||];
@@ -167,7 +167,7 @@ let new_track t (pi : Classify.phi_info) : reg_track =
   {
     phi_id = pi.Classify.phi_id;
     cls = pi.Classify.cls;
-    predictor = Some (t.make_predictor ());
+    predictor = Some (Predictors.Hybrid.create ~components:t.predictors ());
     prev_def_rel = -1;
     cur_def_rel = -1;
     use_seen = false;

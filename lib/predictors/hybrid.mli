@@ -1,16 +1,30 @@
-(** Perfectly hybridized predictor bank (paper §III-C): an LCD instance
-    counts as predicted when {e any} component predicts it — the paper's
-    upper bound on realistic hybrids, avoiding a particular confidence
-    scheme. The default bank is last-value + stride + 2-delta + FCM. *)
+(** Perfectly hybridized value-predictor bank (paper §III-C): an LCD
+    instance counts as predicted when {e any} enabled component predicts it
+    — the paper's upper bound on realistic hybrids, avoiding a particular
+    confidence scheme. A bank is fed the per-iteration values of one
+    register LCD within one loop invocation. *)
+
+(** Last-value, stride, 2-delta stride and order-2 FCM. *)
+type component = Last_value | Stride | Two_delta | Fcm
+
+(** Every component: the paper's bank. *)
+val all : component list
+
+(** The component's telemetry name: its counters are
+    [predictor.<name>.hits] and [predictor.<name>.misses]. *)
+val name : component -> string
 
 type t
 
-(** [components = Some ps] replaces the default bank (ablation studies). *)
-val create : ?components:Predictor.t list option -> unit -> t
+(** A fresh bank running [components] (default {!all}; ablation studies
+    run subsets). *)
+val create : ?components:component list -> unit -> t
 
+(** Restore a fresh bank. *)
 val reset : t -> unit
 
-(** Was the next value predicted by any component? Trains all components. *)
+(** Was the next value predicted by any enabled component? Every component
+    predicts before any trains on it. *)
 val step : t -> int64 -> bool
 
 (** Per-element hit flags over a whole stream (resets first). *)
