@@ -228,8 +228,8 @@ let[@inline] tick (t : t) =
 
 (* Two synthetic opcode slots past the IR constructors: the per-element
    ticks of the arrcopy/arrfill builtins, and clock lumps applied by a
-   delegate's loop commit — so the opcode counters partition the clock
-   exactly (their sum always equals {!instructions_retired}). *)
+   delegate's loop commit — so the opcode counters partition the clock,
+   bar the extra tick a fuel stop counts (see enable_opcode_counts). *)
 let opc_builtin = Ir.Instr.n_opcodes
 
 let opc_committed = Ir.Instr.n_opcodes + 1

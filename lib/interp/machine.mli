@@ -124,10 +124,13 @@ val fuel : t -> int
     one next-event clock that every tick compares against. *)
 
 (** Allocate the per-opcode retired-instruction counters. Counts partition
-    the clock exactly: IR constructors by {!Ir.Instr.opcode}, plus a
+    the clock: IR constructors by {!Ir.Instr.opcode}, plus a
     ["builtin_mem"] slot for the per-element ticks of arrcopy/arrfill and a
     ["committed"] slot for clock lumps a delegate's loop commit applied —
-    so the counter sum always equals {!instructions_retired}. Idempotent. *)
+    so the counter sum equals {!instructions_retired}, except after a fuel
+    stop: the tick that stops the run counts an instruction that never
+    runs, so the clock reads fuel + 1 while the counters sum to fuel.
+    Idempotent. *)
 val enable_opcode_counts : t -> unit
 
 (** [(opcode name, retired count)] pairs, zero entries dropped; [[]] until
