@@ -233,6 +233,48 @@ let test_forward_gather_commits () =
   Alcotest.(check int) "nothing quarantined" 0
     (Quarantine.size (Runner.quarantine r.Guard.runner))
 
+(* Two rounds write the same word: b[0] = 3 at i = 3 (round 1) and
+   b[0] = 100 at i = 100 (round 3, the exit shard). A write/write pair is
+   not a RAW, so deptest proves the loop DOALL; the trip is unknown, so it
+   shards in geometric rounds. Only an in-order commit of the rounds
+   leaves the later write in place, as serial execution does. *)
+let cross_round_src =
+  {|
+fn main() -> int {
+  var stop: int[] = new int[200];
+  stop[150] = 1;
+  var b: int[] = new int[4];
+  var c: int[] = new int[200];
+  var i: int = 0;
+  while (stop[i] == 0) {
+    c[i] = i + 1;
+    if (i == 3) { b[0] = 3; }
+    if (i == 100) { b[0] = 100; }
+    i = i + 1;
+  }
+  print_int(b[0]);
+  print_int(c[149]);
+  return 0;
+}
+|}
+
+let test_cross_round_commit_order () =
+  let r = run_guard ~target:"cross_round" cross_round_src in
+  Alcotest.(check bool) "byte-identical" true r.Guard.identical;
+  let stats = Runner.loop_stats r.Guard.runner in
+  Alcotest.(check int) "one commit" 1
+    (total (fun st -> st.Runner.st_committed) stats);
+  Alcotest.(check bool) "sharded over several rounds" true
+    (total (fun st -> st.Runner.st_rounds) stats >= 2);
+  Alcotest.(check int) "no rollbacks" 0
+    (total (fun st -> st.Runner.st_rollbacks) stats);
+  match (r.Guard.serial, r.Guard.parallel) with
+  | Guard.Finished s, Guard.Finished p ->
+      Alcotest.(check string) "serial output" "100\n150\n" s.Machine.output;
+      Alcotest.(check string) "the later round's write wins" s.Machine.output
+        p.Machine.output
+  | _ -> Alcotest.fail "a pass trapped"
+
 (* ---- hand-forged unsound verdict must be caught at runtime ---- *)
 
 (* a[i+1] depends on a[i]: honest analysis proves the carried dependence;
@@ -385,6 +427,8 @@ let () =
             test_reduction_commits_not_conflicts;
           Alcotest.test_case "forward gather (anti-dep) commits" `Quick
             test_forward_gather_commits;
+          Alcotest.test_case "cross-round writes commit in round order"
+            `Quick test_cross_round_commit_order;
           Alcotest.test_case "forced unsound verdict quarantined" `Quick
             test_forced_unsound_verdict_quarantines;
         ] );
