@@ -596,76 +596,15 @@ let traced_task ?prof_dir ~on_task_start ~budgets ~configs ~faults target src =
 let errored_result target e =
   { target; status = Errored e; attempts = 1; clock = 0; wall_s = 0.0 }
 
-(* ---- worker wire codec (Forked executor) ----
-
-   A worker ships back its full task outcome in one frame: the checkpoint
-   result object ("r", written by the parent byte-for-byte so parallel
-   checkpoints match serial ones), the classified failure for repro-bundle
-   emission ("f"), and — when telemetry is on — the raw spans, counter
-   deltas and histograms of the task ("spans"/"ctr"/"hist") for the
-   parent to absorb. *)
-
-let failure_to_wire ((f : Loopa.Driver.failure), fuel) =
-  Json.Obj
-    [
-      ("stage", Json.String (Loopa.Driver.stage_name f.Loopa.Driver.stage));
-      ("fp", Json.String f.Loopa.Driver.fingerprint);
-      ("msg", Json.String f.Loopa.Driver.message);
-      ("fuel", Json.Int fuel);
-    ]
-
-let failure_of_wire j : (Loopa.Driver.failure * int) option =
-  match
-    ( Option.bind
-        (Option.bind (Json.member "stage" j) Json.to_str)
-        Loopa.Driver.stage_of_name,
-      Option.bind (Json.member "fp" j) Json.to_str,
-      Option.bind (Json.member "msg" j) Json.to_str )
-  with
-  | Some stage, Some fingerprint, Some message ->
-      Some
-        ( { Loopa.Driver.stage; fingerprint; message },
-          Option.value ~default:0
-            (Option.bind (Json.member "fuel" j) Json.to_int) )
-  | _ -> None
-
-let task_to_wire (r, failure, tele) =
-  let tele =
-    match tele with
-    | Some (spans, ctrs) ->
-        [
-          ("spans", Json.List (List.map Obs.Export.span_to_json spans));
-          ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
-          ("hist", Obs.Telemetry.wire_histograms ());
-        ]
-    | None -> []
-  in
-  Json.Obj
-    ([ ("r", result_to_json r) ]
-    @ (match failure with
-      | Some fw -> [ ("f", failure_to_wire fw) ]
-      | None -> [])
-    @ tele)
-
-(* Splice a worker's task telemetry into the parent registry; returns the
-   spans and counter deltas for the task's checkpoint line. *)
-let absorb_wire wire =
-  let spans =
-    match Json.member "spans" wire with
-    | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
-    | _ -> []
-  in
-  let counters =
-    match Json.member "ctr" wire with
-    | Some (Json.Obj kvs) ->
-        List.filter_map
-          (fun (c, v) -> Option.map (fun i -> (c, i)) (Json.to_int v))
-          kvs
-    | _ -> []
-  in
-  Obs.Telemetry.absorb ~spans ~counters;
-  Option.iter Obs.Telemetry.absorb_histograms (Json.member "hist" wire);
-  (spans, counters)
+(* What a Forked worker sends back for one task: its result, the
+   classified failure for repro-bundle emission, and — when telemetry is
+   on — the task's raw spans, counter deltas and histograms
+   ({!Obs.Telemetry.wire_histograms}) for the parent to absorb. *)
+type reply = {
+  w_result : result;
+  w_failure : (Loopa.Driver.failure * int) option;
+  w_tele : (Obs.Telemetry.span list * (string * int) list * Json.t) option;
+}
 
 (* One checkpoint line, built whole and written with a single buffered
    [output_string] + flush: a crash or interrupt between fragments can
@@ -682,12 +621,11 @@ type entry = {
   efail : (Loopa.Driver.failure * int) option;
 }
 
-(* [line] is the result's checkpoint object — a worker's is kept verbatim,
-   so parallel checkpoints match serial ones — and [tele] rides along as
-   the task's telemetry snapshot. *)
-let entry ~tele line er efail =
+(* The result's checkpoint object, built here whichever process ran the
+   task, with [tele] riding along as the task's telemetry snapshot. *)
+let entry ~tele er efail =
   let eline =
-    match (line, tele) with
+    match (result_to_json er, tele) with
     | Json.Obj fields, Some (spans, counters) ->
         Json.Obj
           (fields
@@ -922,51 +860,51 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       in
       (match executor with
       | Forked jobs when jobs > 1 ->
-          (* Workers inherit [fresh] across the fork, so a task's payload
-             is just its index. The registry is reset first, so the reply
-             carries this task's telemetry alone, and a worker that dies
-             later loses nothing already delivered. *)
-          let work payload =
+          (* Workers inherit [fresh] across the fork, so a task is just
+             its index. The registry is reset first, so the reply carries
+             this task's telemetry alone, and a worker that dies later
+             loses nothing already delivered. *)
+          let work k =
             Obs.Telemetry.reset ();
-            let target, src =
-              fresh.(Option.value ~default:0 (Json.to_int payload))
+            let target, src = fresh.(k) in
+            let r, failure, tele =
+              traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                ~faults:(faults_of target) target src
             in
-            task_to_wire
-              (traced_task ?prof_dir ~on_task_start ~budgets ~configs
-                 ~faults:(faults_of target) target src)
+            {
+              w_result = r;
+              w_failure = failure;
+              w_tele =
+                Option.map
+                  (fun (spans, ctrs) ->
+                    (spans, ctrs, Obs.Telemetry.wire_histograms ()))
+                  tele;
+            }
           in
           let on_complete k outcome =
-            let target, _ = fresh.(k) in
             let failed e =
-              let r = errored_result target e in
-              entry ~tele:None (result_to_json r) r None
+              entry ~tele:None (errored_result (fst fresh.(k)) e) None
             in
             decide k
               (match outcome with
               | Exec.Pool.Lost cause -> failed (Worker_lost cause)
               | Exec.Pool.Timed_out d -> failed (Task_timeout (timeout_cause d))
-              | Exec.Pool.Done wire -> (
-                  let spans, counters = absorb_wire wire in
-                  let line =
-                    Option.value ~default:Json.Null (Json.member "r" wire)
+              | Exec.Pool.Done w ->
+                  let tele =
+                    Option.map
+                      (fun (spans, counters, hist) ->
+                        Obs.Telemetry.absorb ~spans ~counters;
+                        Obs.Telemetry.absorb_histograms hist;
+                        (spans, counters))
+                      w.w_tele
                   in
-                  match result_of_json line with
-                  | Ok r ->
-                      let tele =
-                        if Obs.Telemetry.enabled () then Some (spans, counters)
-                        else None
-                      in
-                      entry ~tele line r
-                        (Option.bind (Json.member "f" wire) failure_of_wire)
-                  | Error m ->
-                      failed (Worker_lost ("undecodable worker result: " ^ m))))
+                  entry ~tele w.w_result w.w_failure)
           in
           (* the pool decides every task unless the run was interrupted *)
           ignore
             (Exec.Pool.run ~jobs ~on_complete
                ~should_stop:(fun () -> !interrupted)
-               ?task_deadline_s:watchdog_s ?chaos ~work
-               (Array.init n (fun i -> Json.Int i)))
+               ?task_deadline_s:watchdog_s ?chaos ~work (Array.init n Fun.id))
       | Serial | Forked _ ->
           (* every task runs here, in the parent and in task order *)
           Array.iteri
@@ -979,7 +917,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                     traced_task ?prof_dir ~on_task_start ~budgets ~configs
                       ~faults:(faults_of target) target src
               in
-              decide k (entry ~tele (result_to_json r) r failure))
+              decide k (entry ~tele r failure))
             fresh);
       if !interrupted then interrupt ();
       let cursor = ref 0 in

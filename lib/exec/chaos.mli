@@ -25,8 +25,8 @@ type task_fault =
       (** worker writes a truncated result frame, then exits 1 — the
           parent's read raises [Ipc.Protocol_error] *)
   | Corrupt_result
-      (** worker writes a full-length but unparseable frame, then
-          exits 1 *)
+      (** worker writes a full-length frame whose payload fails its
+          checksum, then exits 1 *)
   | Delay_result of float
       (** worker completes normally but sleeps first — shuffles
           completion order without losing anything *)

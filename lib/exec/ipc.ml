@@ -1,11 +1,12 @@
-(* Length-prefixed JSON frames over file descriptors (see the .mli). The
-   pool's messages are small (task payloads, per-task results with span
-   snapshots), so blocking exact reads after the parent's select are fine:
-   the writer always emits whole frames promptly. *)
+(* Length-prefixed, checksummed, marshalled frames over file descriptors
+   (see the .mli). Both ends of every pool pipe are forks of one
+   executable, so a value marshalled by one end reads back as the same
+   type at the other. Blocking exact reads after the parent's select are
+   fine: the writer always emits whole frames promptly. *)
 
 let max_message = 64 * 1024 * 1024
 
-type read_result = Msg of Util.Json.t | Eof
+type 'a read_result = Msg of 'a | Eof
 
 exception Protocol_error of string
 
@@ -34,44 +35,49 @@ let read_all fd buf len =
   done;
   !got
 
-let header_for len =
-  let header = Bytes.create 4 in
-  Bytes.set_uint8 header 0 (len lsr 24 land 0xff);
-  Bytes.set_uint8 header 1 (len lsr 16 land 0xff);
-  Bytes.set_uint8 header 2 (len lsr 8 land 0xff);
-  Bytes.set_uint8 header 3 (len land 0xff);
-  header
-
-let write fd (j : Util.Json.t) =
-  let payload = Bytes.unsafe_of_string (Util.Json.to_string j) in
+(* No_sharing: a shard report is a long list of fresh cells, where the
+   sharing table costs far more than it could save. *)
+let payload_of v =
+  let payload = Marshal.to_bytes v [ Marshal.No_sharing ] in
   let len = Bytes.length payload in
   if len > max_message then
     raise (Protocol_error (Printf.sprintf "message too large (%d bytes)" len));
-  write_all fd (header_for len) 0 4;
-  write_all fd payload 0 len
+  payload
+
+(* The 20 bytes ahead of a payload: its length (4 bytes, big-endian),
+   then its MD5. *)
+let header_for payload =
+  let header = Bytes.create 20 in
+  Bytes.set_int32_be header 0 (Int32.of_int (Bytes.length payload));
+  Bytes.blit_string (Digest.bytes payload) 0 header 4 16;
+  header
+
+let write fd v =
+  let payload = payload_of v in
+  write_all fd (header_for payload) 0 20;
+  write_all fd payload 0 (Bytes.length payload)
 
 type frame_fault = Torn | Corrupt | Delay of float
 
 let sleepf d = ignore (Unix.select [] [] [] d)
 
-let write_faulty fault fd (j : Util.Json.t) =
+let write_faulty fault fd v =
   match fault with
   | Delay d ->
       if d > 0.0 then sleepf d;
-      write fd j
+      write fd v
   | Torn ->
       (* header promises the whole payload; deliver only half of it —
          the reader blocks until our close, then sees EOF mid-frame *)
-      let payload = Bytes.unsafe_of_string (Util.Json.to_string j) in
-      let len = Bytes.length payload in
-      write_all fd (header_for len) 0 4;
-      write_all fd payload 0 (len / 2)
+      let payload = payload_of v in
+      write_all fd (header_for payload) 0 20;
+      write_all fd payload 0 (Bytes.length payload / 2)
   | Corrupt ->
-      (* full-length frame whose payload can never parse as JSON *)
-      let len = Bytes.length (Bytes.unsafe_of_string (Util.Json.to_string j)) in
-      let garbage = Bytes.make len '\xff' in
-      write_all fd (header_for len) 0 4;
-      write_all fd garbage 0 len
+      (* full-length frame whose payload fails its checksum *)
+      let payload = payload_of v in
+      write_all fd (header_for payload) 0 20;
+      write_all fd (Bytes.make (Bytes.length payload) '\xff') 0
+        (Bytes.length payload)
 
 let read fd =
   let header = Bytes.create 4 in
@@ -79,19 +85,16 @@ let read fd =
   | 0 -> Eof
   | n when n < 4 -> raise (Protocol_error "EOF inside a frame header")
   | _ ->
-      let len =
-        (Bytes.get_uint8 header 0 lsl 24)
-        lor (Bytes.get_uint8 header 1 lsl 16)
-        lor (Bytes.get_uint8 header 2 lsl 8)
-        lor Bytes.get_uint8 header 3
-      in
+      let len = Int32.to_int (Bytes.get_int32_be header 0) land 0xffff_ffff in
       if len > max_message then
         raise
           (Protocol_error (Printf.sprintf "frame length %d exceeds limit" len));
-      let payload = Bytes.create len in
-      if read_all fd payload len < len then
+      (* the checksum, then the payload *)
+      let body = Bytes.create (16 + len) in
+      if read_all fd body (16 + len) < 16 + len then
         raise (Protocol_error "EOF inside a frame payload");
-      let s = Bytes.unsafe_to_string payload in
-      (match Util.Json.of_string s with
-      | Ok j -> Msg j
-      | Error m -> raise (Protocol_error ("unparseable frame: " ^ m)))
+      if Digest.subbytes body 16 len <> Bytes.sub_string body 0 16 then
+        raise (Protocol_error "unparseable frame: checksum mismatch");
+      (try Msg (Marshal.from_bytes body 16)
+       with Failure m | Invalid_argument m ->
+         raise (Protocol_error ("unparseable frame: " ^ m)))

@@ -1,20 +1,21 @@
 (* Fork-based worker pool handing out one task at a time, with reaping
    and supervised respawn (see the .mli for the contract). The parent
    owns the queue and all bookkeeping; a worker is a dumb loop: read one
-   task frame, run it, reply "done" or "fail", and exit on EOF. One pipe
-   pair per worker; frames via Exec.Ipc.
+   task frame, run it, reply with its result or its exception, and exit
+   on EOF. One pipe pair per worker; frames via Exec.Ipc.
 
    Supervision: a watchdog SIGKILLs and reaps any worker whose task
    outlives the per-task wall deadline (the task is delivered as
    Timed_out, never Lost), and a dead worker is replaced at once while
    work is still queued. *)
 
-module Json = Util.Json
-
-type outcome =
-  | Done of Json.t
+type 'b outcome =
+  | Done of 'b
   | Lost of string
   | Timed_out of float (* the configured per-task deadline that expired *)
+
+(* A worker's answer to the task frame [(i, task)]. *)
+type 'b reply = Finished of int * 'b | Failed of int * string
 
 let detect_jobs () = max 1 (Domain.recommended_domain_count ())
 
@@ -22,19 +23,6 @@ let detect_jobs () = max 1 (Domain.recommended_domain_count ())
    when telemetry is enabled, free single-branch no-ops otherwise *)
 let c_respawns = Obs.Telemetry.counter "pool.respawns"
 let c_timeouts = Obs.Telemetry.counter "pool.timeouts"
-
-(* ---- small wire helpers ---- *)
-
-let obj_int k j = Option.bind (Json.member k j) Json.to_int
-
-let msg_task i t = Json.Obj [ ("i", Json.Int i); ("t", t) ]
-
-let msg_done i r =
-  Json.Obj [ ("op", Json.String "done"); ("i", Json.Int i); ("r", r) ]
-
-let msg_fail i m =
-  Json.Obj
-    [ ("op", Json.String "fail"); ("i", Json.Int i); ("msg", Json.String m) ]
 
 (* Human-readable death causes. OCaml signal numbers are its own encoding,
    so translate the ones a worker plausibly dies from. *)
@@ -60,9 +48,9 @@ let rec reap pid =
 
 (* ---- the worker loop ---- *)
 
-let worker_loop rd wr ~work ~chaos =
-  let send j =
-    try Ipc.write wr j
+let worker_loop rd wr ~(work : 'a -> 'b) ~chaos =
+  let send (reply : 'b reply) =
+    try Ipc.write wr reply
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> Unix._exit 1
   in
   (* Chaos injection, once the task frame has arrived: the parent marked
@@ -81,11 +69,10 @@ let worker_loop rd wr ~work ~chaos =
            results the parent already classified as timed out *)
         Unix._exit 1
     | Some Chaos.Torn_result ->
-        Ipc.write_faulty Ipc.Torn wr (msg_done i (Json.String "chaos-torn"));
+        Ipc.write_faulty Ipc.Torn wr (Failed (i, "chaos-torn"));
         Unix._exit 1
     | Some Chaos.Corrupt_result ->
-        Ipc.write_faulty Ipc.Corrupt wr
-          (msg_done i (Json.String "chaos-corrupt"));
+        Ipc.write_faulty Ipc.Corrupt wr (Failed (i, "chaos-corrupt"));
         Unix._exit 1
     | Some (Chaos.Delay_result d) -> d
   in
@@ -93,16 +80,13 @@ let worker_loop rd wr ~work ~chaos =
     match Ipc.read rd with
     | Ipc.Eof -> Unix._exit 0 (* the parent closed the task pipe, or died *)
     | exception Ipc.Protocol_error _ -> Unix._exit 1
-    | Ipc.Msg j -> (
-        match (obj_int "i" j, Json.member "t" j) with
-        | Some i, Some payload -> (
-            let delay = sabotage i in
-            match work payload with
-            | r ->
-                if delay > 0.0 then Unix.sleepf delay;
-                send (msg_done i r)
-            | exception e -> send (msg_fail i (Printexc.to_string e)))
-        | _ -> Unix._exit 1)
+    | Ipc.Msg (i, task) -> (
+        let delay = sabotage i in
+        match work task with
+        | r ->
+            if delay > 0.0 then Unix.sleepf delay;
+            send (Finished (i, r))
+        | exception e -> send (Failed (i, Printexc.to_string e)))
   done
 
 (* ---- parent-side bookkeeping ---- *)
@@ -153,9 +137,9 @@ let fork_worker ~other_fds ~worker_init ~work ~chaos =
       }
 
 let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
-    ?task_deadline_s ?chaos ~work (tasks : Json.t array) =
+    ?task_deadline_s ?chaos ~(work : 'a -> 'b) (tasks : 'a array) =
   let n = Array.length tasks in
-  let outcomes : outcome option array = Array.make n None in
+  let outcomes : 'b outcome option array = Array.make n None in
   if n > 0 then begin
     let jobs = max 1 (min jobs n) in
     let pending : int Queue.t = Queue.create () in
@@ -212,7 +196,7 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
         | Some i -> (
             w.running <- Some i;
             w.started_at <- Unix.gettimeofday ();
-            try Ipc.write w.wr (msg_task i tasks.(i))
+            try Ipc.write w.wr (i, tasks.(i))
             with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
               on_death w ~stopping:false)
     in
@@ -243,22 +227,17 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
     (* A reply frees its worker, which gets its next task before the
        finished one is delivered: whatever [on_complete] does (the
        campaign runner writes its checkpoint) overlaps that task. *)
-    let handle_msg (w : worker) j =
-      match w.running with
-      | Some i when obj_int "i" j = Some i ->
-          let o =
-            match (Json.member "op" j, Json.member "r" j) with
-            | Some (Json.String "done"), Some r -> Done r
-            | _ ->
-                Lost
-                  ("exception in worker: "
-                  ^ Option.value ~default:"unknown exception"
-                      (Option.bind (Json.member "msg" j) Json.to_str))
-          in
-          w.running <- None;
-          feed w;
-          deliver i o
-      | _ -> ()
+    let handle_msg (w : worker) (reply : 'b reply) =
+      let i, o =
+        match reply with
+        | Finished (i, r) -> (i, Done r)
+        | Failed (i, m) -> (i, Lost ("exception in worker: " ^ m))
+      in
+      if w.running = Some i then begin
+        w.running <- None;
+        feed w;
+        deliver i o
+      end
     in
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None

@@ -1,12 +1,14 @@
 (** Exec.Pool — a fork-based multi-process worker pool that hands each
     idle worker one task at a time, supervised by a watchdog.
 
-    The pool is generic and dependency-free: tasks and results are opaque
-    {!Util.Json.t} payloads, the worker body is an ordinary closure (the
-    fork inherits the parent image, so the closure may capture arbitrary
-    in-memory state — source arrays, analysis results — with no
-    serialization), and all IPC is length-prefixed JSON frames
-    ({!Ipc}) over per-worker pipe pairs.
+    The pool is generic and dependency-free: tasks and results are plain
+    OCaml values of any marshalable type (no closures), the worker body is
+    an ordinary closure (the fork inherits the parent image, so the
+    closure may capture arbitrary in-memory state — source arrays,
+    analysis results — with no serialization), and all IPC is
+    checksummed, marshalled frames ({!Ipc}) over per-worker pipe pairs.
+    A task crosses as [(index, task)]; a worker answers with its result
+    or its exception's text.
 
     {b Scheduling.} The parent keeps the queue. An idle worker receives
     the next queued task, which counts as running from the moment it is
@@ -53,8 +55,8 @@
     runner writes its JSONL checkpoint over the contiguous decided
     prefix). *)
 
-type outcome =
-  | Done of Util.Json.t  (** the worker's result payload *)
+type 'b outcome =
+  | Done of 'b  (** the worker's result *)
   | Lost of string
       (** the worker died (signal, exit, OOM kill) or [work] raised;
           the string is the classified cause *)
@@ -73,7 +75,10 @@ val detect_jobs : unit -> int
     finished).
 
     [work] runs in the worker process; it should be total — an escaping
-    exception costs the task ({!Lost}). [worker_init] runs once in each
+    exception costs the task ({!Lost}). Tasks and results cross {!Ipc}
+    frames, so both must be marshalable: a closure in a result, or a
+    result over {!Ipc.max_message}, costs its task; a closure in a task
+    raises [Invalid_argument] out of [run]. [worker_init] runs once in each
     fresh worker before any task (e.g. to reset inherited state).
     [on_complete] fires once per decided task, in completion order.
     [should_stop] is polled between scheduling steps; when it turns true
@@ -93,10 +98,10 @@ val detect_jobs : unit -> int
 val run :
   jobs:int ->
   ?worker_init:(unit -> unit) ->
-  ?on_complete:(int -> outcome -> unit) ->
+  ?on_complete:(int -> 'b outcome -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?task_deadline_s:float ->
   ?chaos:Chaos.plan ->
-  work:(Util.Json.t -> Util.Json.t) ->
-  Util.Json.t array ->
-  outcome option array
+  work:('a -> 'b) ->
+  'a array ->
+  'b outcome option array

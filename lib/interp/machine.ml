@@ -296,6 +296,8 @@ let read_word (t : t) addr = Rvalue.load t.mem addr
 
 let write_word (t : t) addr v = Rvalue.store t.mem addr v
 
+let mem_words (t : t) = Rvalue.words_in_use t.mem
+
 (* Program-output splicing for shard isolation: a worker records the length
    before running its iteration range, ships the delta, and truncates back
    so its buffer never leaks shard output into a later task. *)

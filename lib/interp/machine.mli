@@ -44,6 +44,8 @@ type loop_commit = {
   lc_accesses : int;
   lc_regs : (int * Rvalue.rv) list;
   lc_writes : (int * Rvalue.rv) list;
+      (** may name a word more than once: the writes apply in list order,
+          so the last one wins *)
   lc_output : string;
 }
 
@@ -164,6 +166,12 @@ val set_delegate : t -> (t -> loop_entry -> loop_commit option) option -> unit
 val read_word : t -> int -> Rvalue.rv
 
 val write_word : t -> int -> Rvalue.rv -> unit
+
+(** Words of the memory image in use: valid addresses are
+    [1 .. mem_words t - 1]. Shard workers size their per-word access
+    marks with it; an eligible loop body never allocates, so it holds
+    for the whole shard. *)
+val mem_words : t -> int
 
 (** Program-output splicing for shard isolation: record {!output_length}
     before a range, ship {!output_since} that position, then

@@ -179,46 +179,3 @@ let snapshot_json ~spans ~counters : Json.t =
              (aggregate_spans spans)) );
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
     ]
-
-(* ---- raw span wire codec (Exec.Pool worker -> parent) ----
-
-   Unlike [snapshot_json], which aggregates by span name, workers ship the
-   raw spans so the parent can absorb them into its registry and the
-   Chrome trace keeps per-task timeline slices from every process. *)
-
-let span_to_json (s : Telemetry.span) : Json.t =
-  Json.Obj
-    [
-      ("id", Json.Int s.Telemetry.id);
-      ("parent", Json.Int s.Telemetry.parent);
-      ("depth", Json.Int s.Telemetry.depth);
-      ("name", Json.String s.Telemetry.name);
-      ("start", Json.Float s.Telemetry.start_s);
-      ("dur", Json.Float s.Telemetry.dur_s);
-      ( "attrs",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.String v)) s.Telemetry.attrs) );
-    ]
-
-let span_of_json (j : Json.t) : Telemetry.span option =
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  let flt k = Option.bind (Json.member k j) Json.to_float in
-  match (int "id", Option.bind (Json.member "name" j) Json.to_str) with
-  | Some id, Some name ->
-      Some
-        {
-          Telemetry.id;
-          parent = Option.value ~default:(-1) (int "parent");
-          depth = Option.value ~default:0 (int "depth");
-          name;
-          start_s = Option.value ~default:0.0 (flt "start");
-          dur_s = Option.value ~default:0.0 (flt "dur");
-          attrs =
-            (match Json.member "attrs" j with
-            | Some (Json.Obj kvs) ->
-                List.filter_map
-                  (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
-                  kvs
-            | _ -> []);
-        }
-  | _ -> None

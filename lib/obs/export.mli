@@ -42,11 +42,3 @@ val aggregate_spans :
     "counters":{name:delta..}}]. *)
 val snapshot_json :
   spans:Telemetry.span list -> counters:(string * int) list -> Util.Json.t
-
-(** Raw span wire codec, used by the multi-process executor to ship a
-    worker's finished spans to the parent (which absorbs them via
-    {!Telemetry.absorb}). [span_of_json] is total: a malformed object
-    decodes to [None]. *)
-val span_to_json : Telemetry.span -> Util.Json.t
-
-val span_of_json : Util.Json.t -> Telemetry.span option

@@ -2,16 +2,19 @@
    eligible loop invocation across forked pool workers; fork gives every
    shard a copy-on-write snapshot of exact loop-entry state, so a shard
    can only diverge from its serial counterpart by reading an address an
-   earlier shard wrote — and the access logs expose exactly that. The
-   parent commits the combined effect only when the cross-shard conflict
-   detector comes back clean; anything else (conflict, loss, timeout,
-   trap, short shard, overflow) discards every shard result and lets the
-   machine run the untouched loop serially. *)
+   earlier shard wrote — and the access logs expose exactly that. A
+   worker gets its (lo, n) range and hands back its [shard_report] as a
+   plain value over the pool's typed wire. The parent commits the
+   combined effect only when the cross-shard conflict detector comes back
+   clean; anything else (conflict, loss, timeout, trap, short shard,
+   overflow) discards every shard result and lets the machine run the
+   untouched loop serially. A commit applies the absorbed shards' write
+   lists in round and shard order, so a later round's write to a word
+   wins, as in serial execution. *)
 
 module C = Loopa.Classify
 module Machine = Interp.Machine
 module Rvalue = Interp.Rvalue
-module Json = Util.Json
 
 (* ---- knobs ---- *)
 
@@ -558,40 +561,6 @@ let eligibility t =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) rows
 
-(* ---- rv <-> json (int64s as decimal strings, floats bit-exact) ---- *)
-
-let rv_to_json (v : Rvalue.rv) : Json.t =
-  match v with
-  | Rvalue.Vint i -> Json.Obj [ ("i", Json.String (Int64.to_string i)) ]
-  | Rvalue.Vfloat f ->
-      Json.Obj [ ("f", Json.String (Int64.to_string (Int64.bits_of_float f))) ]
-  | Rvalue.Vbool b -> Json.Obj [ ("b", Json.Bool b) ]
-
-let rv_of_json (j : Json.t) : Rvalue.rv option =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  match (str "i", str "f", Json.member "b" j) with
-  | Some s, _, _ -> Int64.of_string_opt s |> Option.map (fun i -> Rvalue.Vint i)
-  | None, Some s, _ ->
-      Int64.of_string_opt s
-      |> Option.map (fun bits -> Rvalue.Vfloat (Int64.float_of_bits bits))
-  | None, None, Some (Json.Bool b) -> Some (Rvalue.Vbool b)
-  | _ -> None
-
-let ranges_to_json (rs : Conflict.ranges) : Json.t =
-  Json.List (List.map (fun (lo, hi) -> Json.List [ Json.Int lo; Json.Int hi ]) rs)
-
-let ranges_of_json (j : Json.t) : Conflict.ranges option =
-  match j with
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Some (Conflict.normalize (List.rev acc))
-        | Json.List [ Json.Int lo; Json.Int hi ] :: rest ->
-            go ((lo, hi) :: acc) rest
-        | _ -> None
-      in
-      go [] items
-  | _ -> None
-
 (* ---- per-invocation resolved seeds ---- *)
 
 type resolved =
@@ -683,34 +652,51 @@ type shard_report = {
   sr_rd : Conflict.ranges;
 }
 
+let sorted_addrs v =
+  let a = Ir.Vec.to_array v in
+  Array.sort Int.compare a;
+  Array.to_list a
+
+(* The bits of a word's mark byte in a shard's log. *)
+let saved = 1 (* its value before the shard is in the undo log *)
+let written = 2 (* the shard wrote it *)
+let exposed = 4 (* the shard read it before writing it *)
+
 (* Runs in the forked worker. The machine image is a snapshot of exact
-   loop-entry state; prior-round parent-side writes are applied first
-   (and undone after), so later rounds see committed effects. The access
-   hooks log the shard's write set (with first-write undo snapshots) and
-   its exposed reads; after the range runs, final written values are
+   loop-entry state; the write lists of earlier rounds are applied first,
+   in round and shard order (and undone after), so later rounds see
+   committed effects. The access hook keeps one mark byte per guest word
+   and logs each word once: its first write (with the undo value) or its
+   exposed read. After the range runs, final written values are
    snapshotted and all memory and output mutations rolled back, leaving
    the image clean for the worker's next task. *)
 let worker_task m (el : elig) (entry : Machine.loop_entry)
-    (seeds : (int * resolved) list) (pre_writes : (int, Rvalue.rv) Hashtbl.t)
-    ~max_writes (payload : Json.t) : Json.t =
-  let geti k =
-    match Option.bind (Json.member k payload) Json.to_int with
-    | Some v -> v
-    | None -> -1
-  in
-  let lo = geti "lo" and n = geti "n" in
+    (seeds : (int * resolved) list) (pre_writes : (int * Rvalue.rv) list list)
+    ~max_writes ((lo, n) : int * int) : shard_report =
   let max_iters = if n < 0 then max_int / 2 else n in
-  let undo = Hashtbl.create 64 in
-  let keep_old a =
-    if not (Hashtbl.mem undo a) then Hashtbl.add undo a (Machine.read_word m a)
+  let words = Machine.mem_words m in
+  let marks = Bytes.make words '\000' in
+  let has a bit = Char.code (Bytes.unsafe_get marks a) land bit <> 0 in
+  let mark a bit =
+    Bytes.unsafe_set marks a
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get marks a) lor bit))
   in
-  Hashtbl.iter
-    (fun a v ->
-      keep_old a;
-      Machine.write_word m a v)
+  let wr = Ir.Vec.create ~dummy:0 and rd = Ir.Vec.create ~dummy:0 in
+  let undo = Ir.Vec.create ~dummy:0 in
+  let undo_v = Ir.Vec.create ~dummy:(Rvalue.Vint 0L) in
+  let keep_old a =
+    if not (has a saved) then begin
+      let v = Machine.read_word m a in
+      mark a saved;
+      Ir.Vec.push undo a;
+      Ir.Vec.push undo_v v
+    end
+  in
+  List.iter
+    (List.iter (fun (a, v) ->
+         keep_old a;
+         Machine.write_word m a v))
     pre_writes;
-  let wset = Hashtbl.create 256 in
-  let rset = Hashtbl.create 256 in
   let overflowed = ref false in
   let hooks =
     (* a provably store-free body needs no logging at all: nothing to
@@ -721,20 +707,26 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
         Interp.Events.no_hooks with
         Interp.Events.on_mem_access =
           (fun ~addr ~is_write ~clock:_ ->
-            if is_write then begin
-              if not (Hashtbl.mem wset addr) then begin
-                keep_old addr;
-                Hashtbl.replace wset addr ();
-                (* abort the shard as soon as the cap is blown — running
-                   to completion only delays the inevitable rollback *)
-                if Hashtbl.length wset > max_writes then begin
-                  overflowed := true;
-                  raise
-                    (Rvalue.Runtime_error "parrun: shard write-set overflow")
+            (* an address off the image traps in the access itself *)
+            if addr >= 0 && addr < words then
+              if is_write then begin
+                if not (has addr written) then begin
+                  keep_old addr;
+                  mark addr written;
+                  Ir.Vec.push wr addr;
+                  (* abort the shard as soon as the cap is blown — running
+                     to completion only delays the inevitable rollback *)
+                  if Ir.Vec.length wr > max_writes then begin
+                    overflowed := true;
+                    raise
+                      (Rvalue.Runtime_error "parrun: shard write-set overflow")
+                  end
                 end
               end
-            end
-            else if not (Hashtbl.mem wset addr) then Hashtbl.replace rset addr ());
+              else if not (has addr (written lor exposed)) then begin
+                mark addr exposed;
+                Ir.Vec.push rd addr
+              end);
       }
   in
   let c0 = Machine.clock m in
@@ -769,105 +761,36 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
   let acc_d = Machine.mem_accesses m - a0 in
   let out_d = Machine.output_since m o0 in
   Machine.truncate_output m o0;
-  if !overflowed || (Hashtbl.length wset > max_writes && !status = "ok") then begin
+  if !overflowed then begin
     status := "overflow";
-    msg := Printf.sprintf "%d distinct written words" (Hashtbl.length wset)
+    msg := Printf.sprintf "%d distinct written words" (Ir.Vec.length wr)
   end;
-  let waddrs = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) wset []) in
-  let raddrs = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) rset []) in
+  let waddrs = sorted_addrs wr in
+  let ok = !status = "ok" in
   let writes =
-    if !status = "ok" then List.map (fun a -> (a, Machine.read_word m a)) waddrs
-    else []
+    if ok then List.map (fun a -> (a, Machine.read_word m a)) waddrs else []
   in
-  Hashtbl.iter (fun a v -> Machine.write_word m a v) undo;
+  Ir.Vec.iteri (fun k a -> Machine.write_word m a (Ir.Vec.get undo_v k)) undo;
   let iters, exit_ =
     match res with
     | Some rr -> (rr.Machine.rr_iters, rr.Machine.rr_exit)
     | None -> (0, None)
   in
-  Json.Obj
-    [
-      ("status", Json.String !status);
-      ("msg", Json.String !msg);
-      ("iters", Json.Int iters);
-      ("exit_pred", Json.Int (match exit_ with Some (p, _) -> p | None -> -1));
-      ( "exit_target",
-        Json.Int (match exit_ with Some (_, tg) -> tg | None -> -1) );
-      ("clock", Json.Int clock_d);
-      ("accesses", Json.Int acc_d);
-      ("output", Json.String out_d);
-      ( "regs",
-        Json.List
-          (if !status = "ok" then
-             Array.to_list el.el_dump
-             |> List.map (fun id ->
-                    Json.List [ Json.Int id; rv_to_json regs.(id) ])
-           else []) );
-      ( "writes",
-        Json.List
-          (List.map
-             (fun (a, v) -> Json.List [ Json.Int a; rv_to_json v ])
-             writes) );
-      ("wr", ranges_to_json (Conflict.of_sorted_addrs waddrs));
-      ("rd", ranges_to_json (Conflict.of_sorted_addrs raddrs));
-    ]
-
-let parse_report (j : Json.t) : shard_report option =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let int k = Option.bind (Json.member k j) Json.to_int in
-  let id_rv_list k =
-    match Json.member k j with
-    | Some (Json.List items) ->
-        let rec go acc = function
-          | [] -> Some (List.rev acc)
-          | Json.List [ Json.Int id; rj ] :: rest -> (
-              match rv_of_json rj with
-              | Some v -> go ((id, v) :: acc) rest
-              | None -> None)
-          | _ -> None
-        in
-        go [] items
-    | _ -> None
-  in
-  match
-    ( str "status",
-      int "iters",
-      int "exit_pred",
-      int "exit_target",
-      int "clock",
-      int "accesses",
-      str "output",
-      id_rv_list "regs",
-      id_rv_list "writes",
-      Option.bind (Json.member "wr" j) ranges_of_json,
-      Option.bind (Json.member "rd" j) ranges_of_json )
-  with
-  | ( Some status,
-      Some iters,
-      Some ep,
-      Some et,
-      Some clock,
-      Some accesses,
-      Some output,
-      Some regs,
-      Some writes,
-      Some wr,
-      Some rd ) ->
-      Some
-        {
-          sr_status = status;
-          sr_msg = Option.value ~default:"" (str "msg");
-          sr_iters = iters;
-          sr_exit = (if ep >= 0 && et >= 0 then Some (ep, et) else None);
-          sr_clock = clock;
-          sr_accesses = accesses;
-          sr_output = output;
-          sr_regs = regs;
-          sr_writes = writes;
-          sr_wr = wr;
-          sr_rd = rd;
-        }
-  | _ -> None
+  {
+    sr_status = !status;
+    sr_msg = !msg;
+    sr_iters = iters;
+    sr_exit = exit_;
+    sr_clock = clock_d;
+    sr_accesses = acc_d;
+    sr_output = out_d;
+    sr_regs =
+      (if ok then Array.to_list el.el_dump |> List.map (fun id -> (id, regs.(id)))
+       else []);
+    sr_writes = writes;
+    sr_wr = Conflict.of_sorted_addrs waddrs;
+    sr_rd = Conflict.of_sorted_addrs (sorted_addrs rd);
+  }
 
 (* ---- conflict bookkeeping ---- *)
 
@@ -957,8 +880,9 @@ let shard_invocation t m (st : loop_stats) (el : elig)
   Obs.Telemetry.add t.c_sharded 1;
   let fuel_left = Machine.fuel m - Machine.clock m in
   let s = t.knobs.jobs in
-  (* invocation-scoped accumulators: effects of absorbed rounds *)
-  let acc_writes : (int, Rvalue.rv) Hashtbl.t = Hashtbl.create 256 in
+  (* invocation-scoped accumulators: effects of absorbed rounds; the
+     absorbed shards' write lists newest first *)
+  let acc_writes : (int * Rvalue.rv) list list ref = ref [] in
   let acc_out = Buffer.create 256 in
   let acc_clock = ref 0 in
   let acc_acc = ref 0 in
@@ -992,15 +916,8 @@ let shard_invocation t m (st : loop_stats) (el : elig)
                (List.init nshards Fun.id)))
         t.knobs.chaos
     in
-    let payloads =
-      Array.mapi
-        (fun i (lo, n) ->
-          Json.Obj
-            [ ("shard", Json.Int i); ("lo", Json.Int lo); ("n", Json.Int n) ])
-        tasks
-    in
     let work =
-      worker_task m el entry seeds acc_writes
+      worker_task m el entry seeds (List.rev !acc_writes)
         ~max_writes:t.knobs.max_shard_writes
     in
     let outs =
@@ -1019,12 +936,12 @@ let shard_invocation t m (st : loop_stats) (el : elig)
               Gc.minor_heap_size = 8 * 1024 * 1024;
               space_overhead = 800;
             })
-        ?task_deadline_s:deadline ?chaos ~work payloads
+        ?task_deadline_s:deadline ?chaos ~work tasks
     in
     let reports =
       Array.map
         (function
-          | Some (Exec.Pool.Done j) -> parse_report j
+          | Some (Exec.Pool.Done r) -> Some r
           | Some (Exec.Pool.Lost _) | Some (Exec.Pool.Timed_out _) | None ->
               None)
         outs
@@ -1091,9 +1008,7 @@ let shard_invocation t m (st : loop_stats) (el : elig)
               Buffer.add_string acc_out r.sr_output;
               acc_clock := !acc_clock + r.sr_clock;
               acc_acc := !acc_acc + r.sr_accesses;
-              List.iter
-                (fun (a, v) -> Hashtbl.replace acc_writes a v)
-                r.sr_writes
+              acc_writes := r.sr_writes :: !acc_writes
             in
             let absorb_full (r : shard_report) =
               absorb_effects r;
@@ -1201,10 +1116,6 @@ let shard_invocation t m (st : loop_stats) (el : elig)
   | Rcommit (ep, et, final_regs) when !acc_clock <= fuel_left ->
       st.st_committed <- st.st_committed + 1;
       Obs.Telemetry.add t.c_committed 1;
-      let writes =
-        Hashtbl.fold (fun a v acc -> (a, v) :: acc) acc_writes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
       Some
         {
           Machine.lc_exit_pred = ep;
@@ -1212,7 +1123,7 @@ let shard_invocation t m (st : loop_stats) (el : elig)
           lc_clock = !acc_clock;
           lc_accesses = !acc_acc;
           lc_regs = final_regs;
-          lc_writes = writes;
+          lc_writes = List.concat (List.rev !acc_writes);
           lc_output = Buffer.contents acc_out;
         }
   | Rcommit _ ->

@@ -78,6 +78,25 @@ type conflict_record = {
   cf_bundle : string option;
 }
 
+(** What a shard worker hands back through the pool, as a plain value:
+    how its iteration range ended and its whole effect. *)
+type shard_report = {
+  sr_status : string;  (** ok | trap | budget | error | overflow *)
+  sr_msg : string;  (** why, when not ok *)
+  sr_iters : int;  (** completed loop bodies *)
+  sr_exit : (int * int) option;  (** the exit edge, when the loop left *)
+  sr_clock : int;  (** instructions the range retired *)
+  sr_accesses : int;
+  sr_output : string;
+  sr_regs : (int * Interp.Rvalue.rv) list;
+      (** the loop's result registers, when ok *)
+  sr_writes : (int * Interp.Rvalue.rv) list;
+      (** the final value of every word the shard wrote, by address, when
+          ok *)
+  sr_wr : Conflict.ranges;  (** the words the shard wrote *)
+  sr_rd : Conflict.ranges;  (** the words it read before writing them *)
+}
+
 type t
 
 (** [create ~target ~source ms] scans every [Proven_doall] loop of the

@@ -1,5 +1,6 @@
 (* The exec subsystem: IPC framing over real pipes (roundtrip, messages
-   larger than the pipe buffer, clean EOF vs torn frames) and the worker
+   larger than the pipe buffer, clean EOF vs torn frames, a flipped byte
+   caught by the checksum, a shard report at its cap) and the worker
    pool's contract — index-ordered outcomes, one completion callback per
    task, a slow task that delays only itself, fault isolation (a killed
    worker costs exactly its in-flight task and is respawned at once),
@@ -97,6 +98,84 @@ let test_ipc_oversized_frame () =
           Alcotest.(check bool) "names the limit" true (contains m "limit")
       | Ipc.Msg _ | Ipc.Eof -> Alcotest.fail "oversized frame not rejected")
 
+(* A flipped payload byte must fail the checksum: handed to
+   [Marshal.from_bytes], such bytes can decode to a value and then corrupt
+   the heap. *)
+let test_ipc_flipped_byte () =
+  let frame =
+    with_pipe (fun r w ->
+        Ipc.write w (List.init 64 (fun i -> i * 1_000_003));
+        let header = Bytes.create 4 in
+        ignore (Unix.read r header 0 4);
+        let len = Int32.to_int (Bytes.get_int32_be header 0) in
+        let body = Bytes.create (16 + len) in
+        let got = ref 0 in
+        while !got < 16 + len do
+          got := !got + Unix.read r body !got (16 + len - !got)
+        done;
+        Bytes.cat header body)
+  in
+  let at = 20 + ((Bytes.length frame - 20) / 2) in
+  Bytes.set frame at (Char.chr (Char.code (Bytes.get frame at) lxor 0x10));
+  with_pipe (fun r w ->
+      ignore (Unix.write w frame 0 (Bytes.length frame));
+      match (Ipc.read r : int list Ipc.read_result) with
+      | exception Ipc.Protocol_error m ->
+          Alcotest.(check bool) "names the checksum" true (contains m "checksum")
+      | Ipc.Msg _ | Ipc.Eof -> Alcotest.fail "flipped byte not detected");
+  (* the process survived, and the next frame reads back *)
+  with_pipe (fun r w ->
+      Ipc.write w [ 1; 2; 3 ];
+      match (Ipc.read r : int list Ipc.read_result) with
+      | Ipc.Msg l -> Alcotest.(check (list int)) "next frame" [ 1; 2; 3 ] l
+      | Ipc.Eof -> Alcotest.fail "unexpected EOF")
+
+(* The largest report a shard may send: [max_shard_writes] written words,
+   none adjacent (one range each), every value a full-width int64. *)
+let test_ipc_shard_report_at_cap () =
+  let cap = Parrun.Runner.default_knobs.Parrun.Runner.max_shard_writes in
+  let top = (1 lsl 26) - (2 * cap) in
+  let report =
+    {
+      Parrun.Runner.sr_status = "ok";
+      sr_msg = "";
+      sr_iters = cap;
+      sr_exit = None;
+      sr_clock = max_int;
+      sr_accesses = max_int;
+      sr_output = "";
+      sr_regs = [];
+      sr_writes =
+        List.init cap (fun i ->
+            ( top + (2 * i),
+              Interp.Rvalue.Vint (Int64.sub Int64.min_int (Int64.of_int i)) ));
+      sr_wr = List.init cap (fun i -> (top + (2 * i), top + (2 * i) + 1));
+      sr_rd = [];
+    }
+  in
+  let path = Filename.temp_file "ipc-cap-" ".frame" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_TRUNC ] 0o600 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Ipc.write fd report;
+          let size = (Unix.fstat fd).Unix.st_size in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d-byte frame under the %d-byte limit" size
+               Ipc.max_message)
+            true
+            (size - 20 <= Ipc.max_message);
+          ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+          match (Ipc.read fd : Parrun.Runner.shard_report Ipc.read_result) with
+          | Ipc.Msg r ->
+              Alcotest.(check int) "every write back" cap
+                (List.length r.Parrun.Runner.sr_writes);
+              Alcotest.(check bool) "equal" true (r = report)
+          | Ipc.Eof -> Alcotest.fail "unexpected EOF"))
+
 (* ---- IPC fault injection (the chaos writer) ---- *)
 
 let test_ipc_write_faulty_torn () =
@@ -176,6 +255,37 @@ let test_pool_outcomes_in_index_order () =
       | None -> Alcotest.fail "undecided task")
     outcomes;
   Alcotest.(check int) "initial fleet only" 0 respawns
+
+(* Values cross the pool bit for bit, both ways: the extreme int64s, a
+   NaN's payload, the sign of zero, and every byte of a string. *)
+type extremes = {
+  lo : int64;
+  hi : int64;
+  nan : float;
+  neg_zero : float;
+  raw : string;
+}
+
+let test_pool_roundtrips_bits () =
+  let v =
+    {
+      lo = Int64.min_int;
+      hi = Int64.max_int;
+      nan = Int64.float_of_bits 0x7ff8_0000_dead_beefL;
+      neg_zero = -0.0;
+      raw = "a\000b\255c";
+    }
+  in
+  match Pool.run ~jobs:1 ~work:(fun x -> x) [| v |] with
+  | [| Some (Pool.Done r) |] ->
+      Alcotest.(check int64) "min_int" Int64.min_int r.lo;
+      Alcotest.(check int64) "max_int" Int64.max_int r.hi;
+      Alcotest.(check int64) "NaN payload" (Int64.bits_of_float v.nan)
+        (Int64.bits_of_float r.nan);
+      Alcotest.(check int64) "negative zero" (Int64.bits_of_float (-0.0))
+        (Int64.bits_of_float r.neg_zero);
+      Alcotest.(check string) "raw bytes" v.raw r.raw
+  | _ -> Alcotest.fail "the task did not come back"
 
 (* ---- pool: one task at a time ---- *)
 
@@ -460,6 +570,10 @@ let () =
           Alcotest.test_case "EOF at frame boundary" `Quick test_ipc_eof_at_boundary;
           Alcotest.test_case "torn frame" `Quick test_ipc_torn_frame;
           Alcotest.test_case "oversized frame" `Quick test_ipc_oversized_frame;
+          Alcotest.test_case "flipped byte fails the checksum" `Quick
+            test_ipc_flipped_byte;
+          Alcotest.test_case "shard report at the write cap fits" `Quick
+            test_ipc_shard_report_at_cap;
           Alcotest.test_case "faulty writer: torn" `Quick
             test_ipc_write_faulty_torn;
           Alcotest.test_case "faulty writer: corrupt" `Quick
@@ -471,6 +585,8 @@ let () =
         [
           Alcotest.test_case "outcomes in index order" `Quick
             test_pool_outcomes_in_index_order;
+          Alcotest.test_case "values round-trip bit for bit" `Quick
+            test_pool_roundtrips_bits;
           Alcotest.test_case "a slow task delays only itself" `Quick
             test_pool_slow_task_delays_only_itself;
           Alcotest.test_case "killed worker costs one task" `Quick

@@ -445,30 +445,6 @@ let test_histogram_wire_merge () =
     (contains prom "t_merge");
   teardown ()
 
-let test_span_json_roundtrip () =
-  let s =
-    {
-      T.id = 12;
-      parent = 3;
-      depth = 2;
-      name = "campaign.task";
-      start_s = 1.5;
-      dur_s = 0.25;
-      attrs = [ ("target", "164_gzip") ];
-    }
-  in
-  match E.span_of_json (E.span_to_json s) with
-  | Some s' ->
-      Alcotest.(check int) "id" s.T.id s'.T.id;
-      Alcotest.(check int) "parent" s.T.parent s'.T.parent;
-      Alcotest.(check int) "depth" s.T.depth s'.T.depth;
-      Alcotest.(check string) "name" s.T.name s'.T.name;
-      Alcotest.(check (float 1e-9)) "start" s.T.start_s s'.T.start_s;
-      Alcotest.(check (float 1e-9)) "dur" s.T.dur_s s'.T.dur_s;
-      Alcotest.(check (option string)) "attr" (Some "164_gzip")
-        (List.assoc_opt "target" s'.T.attrs)
-  | None -> Alcotest.fail "span did not roundtrip"
-
 let () =
   Alcotest.run "obs"
     [
@@ -507,7 +483,5 @@ let () =
             test_absorb_disabled_is_noop;
           Alcotest.test_case "histogram wire merge" `Quick
             test_histogram_wire_merge;
-          Alcotest.test_case "span json roundtrip" `Quick
-            test_span_json_roundtrip;
         ] );
     ]
