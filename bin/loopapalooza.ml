@@ -186,38 +186,6 @@ let with_telemetry { trace; metrics; prom } f =
     Fun.protect ~finally:export f
   end
 
-(* ---- live observability endpoint (sweep / parrun / campaign) ---- *)
-
-let serve_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "serve" ] ~docv:"PORT"
-        ~doc:
-          "Serve live observability on 127.0.0.1:$(docv) while the run is in \
-           flight: Prometheus text at /metrics and a JSON progress snapshot \
-           at /status. Port 0 picks a free port (printed to stderr). \
-           Implies telemetry recording.")
-
-(* Start/stop the forked responder around [f]; recording is forced on so
-   /metrics has content. Publishing is the command's job: each pushes a
-   fresh snapshot at its natural progress points. *)
-let with_serve serve f =
-  match serve with
-  | None -> f None
-  | Some port ->
-      Obs.Telemetry.enable ();
-      let srv = Prof.Serve.start ~port () in
-      Printf.eprintf "serving http://127.0.0.1:%d/metrics and /status\n%!"
-        (Prof.Serve.port srv);
-      Fun.protect ~finally:(fun () -> Prof.Serve.stop srv) (fun () -> f (Some srv))
-
-let publish_status srv status =
-  Option.iter
-    (fun srv ->
-      Prof.Serve.publish srv ~metrics:(Obs.Export.prometheus ()) ~status)
-    srv
-
 (* ---- list ---- *)
 
 let list_cmd =
@@ -465,19 +433,9 @@ let sweep_row (r : Loopa.Evaluate.report) =
   ]
 
 let sweep_cmd =
-  let run target fuel cache serve telemetry =
+  let run target fuel cache telemetry =
     handle_errors (fun () ->
         with_telemetry telemetry (fun () ->
-        with_serve serve (fun srv ->
-            let sweep_status state =
-              Util.Json.Obj
-                [
-                  ("command", Util.Json.String "sweep");
-                  ("target", Util.Json.String target);
-                  ("state", Util.Json.String state);
-                ]
-            in
-            publish_status srv (sweep_status "analyzing");
             let source = read_program target in
             let cache = Option.map Service.Cache.open_dir cache in
             let key =
@@ -489,7 +447,7 @@ let sweep_cmd =
                   Option.bind (Service.Cache.find c key) (fun v ->
                       Option.bind (Util.Json.member "text" v) Util.Json.to_str))
             in
-            (match cached_text with
+            match cached_text with
             | Some text -> print_string text
             | None ->
                 let a = Loopa.Driver.analyze_source ~fuel source in
@@ -516,14 +474,12 @@ let sweep_cmd =
                            ("text", Util.Json.String text);
                          ]))
                   cache;
-                print_string text);
-            publish_status srv (sweep_status "done"))))
+                print_string text))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
     Term.(
-      const run $ target_arg $ fuel_arg $ cache_arg $ serve_arg
-      $ telemetry_term)
+      const run $ target_arg $ fuel_arg $ cache_arg $ telemetry_term)
 
 (* ---- parrun ---- *)
 
@@ -589,10 +545,9 @@ let parrun_result_json target (r : Parrun.Guard.result) : Util.Json.t =
 
 let parrun_cmd =
   let run targets all fuel jobs min_trip quarantine_path repro_dir watchdog
-      chaos_seed no_predict fail_on_quarantine json serve telemetry =
+      chaos_seed no_predict fail_on_quarantine json telemetry =
     handle_errors_int (fun () ->
         with_telemetry telemetry (fun () ->
-        with_serve serve (fun srv ->
             let targets =
               if all then Suites.Suite.names ()
               else if targets = [] then
@@ -616,28 +571,12 @@ let parrun_cmd =
             in
             let pre_quarantined = Parrun.Quarantine.size quarantine in
             let diverged = ref [] and failed = ref [] and docs = ref [] in
-            let n_done = ref 0 in
-            let total = List.length targets in
-            let publish_progress () =
-              publish_status srv
-                (Util.Json.Obj
-                   [
-                     ("command", Util.Json.String "parrun");
-                     ("done", Util.Json.Int !n_done);
-                     ("total", Util.Json.Int total);
-                     ("diverged", Util.Json.Int (List.length !diverged));
-                     ("failed", Util.Json.Int (List.length !failed));
-                     ( "quarantined",
-                       Util.Json.Int (Parrun.Quarantine.size quarantine) );
-                   ])
-            in
-            publish_progress ();
             List.iter
               (fun target ->
-                (match
-                   Parrun.Guard.run ~knobs ~quarantine ?repro_dir ~fuel
-                     ~predict:(not no_predict) ~target (read_program target)
-                 with
+                match
+                  Parrun.Guard.run ~knobs ~quarantine ?repro_dir ~fuel
+                    ~predict:(not no_predict) ~target (read_program target)
+                with
                 | Error f ->
                     failed := target :: !failed;
                     Printf.eprintf "%s: %s\n" target
@@ -649,9 +588,7 @@ let parrun_cmd =
                       print_newline ()
                     end;
                     if not r.Parrun.Guard.identical then
-                      diverged := target :: !diverged);
-                incr n_done;
-                publish_progress ())
+                      diverged := target :: !diverged)
               targets;
             Option.iter (Parrun.Quarantine.save quarantine) quarantine_path;
             if json then
@@ -667,7 +604,7 @@ let parrun_cmd =
             end
             else if !failed <> [] then 1
             else if fail_on_quarantine && newly > 0 then 1
-            else 0)))
+            else 0))
   in
   let targets_arg =
     Arg.(
@@ -762,8 +699,7 @@ let parrun_cmd =
     Term.(
       const run $ targets_arg $ all_arg $ fuel_arg $ par_jobs_arg $ min_trip_arg
       $ quarantine_arg $ repro_dir_arg $ watchdog_arg $ chaos_seed_arg
-      $ no_predict_arg $ fail_on_quarantine_arg $ json_arg $ serve_arg
-      $ telemetry_term)
+      $ no_predict_arg $ fail_on_quarantine_arg $ json_arg $ telemetry_term)
 
 (* ---- campaign ---- *)
 
@@ -891,7 +827,7 @@ let campaign_cmd =
              $(i,target).speedscope.json flamegraph files in $(docv).")
   in
   let run targets all json checkpoint resume retries fuel wall watchdog injects
-      repro_dir profile_dir jobs cache serve telemetry =
+      repro_dir profile_dir jobs cache telemetry =
     handle_errors (fun () ->
         if (not all) && targets = [] then
           raise (Invalid_argument "campaign needs TARGETS or --all");
@@ -933,32 +869,13 @@ let campaign_cmd =
         in
         let log = if json then fun _ -> () else prerr_endline in
         with_telemetry telemetry (fun () ->
-        with_serve serve (fun srv ->
             (* a live progress line rides along whenever telemetry is on
-               (and the summary is not being parsed off stdout as JSON);
-               with --serve, every beat is also published as /status *)
-            let log_beat =
+               (and the summary is not being parsed off stdout as JSON) *)
+            let heartbeat =
               if (not json) && Obs.Telemetry.enabled () then
                 Some
                   (fun hb -> prerr_endline (Campaign.Runner.heartbeat_line hb))
               else None
-            in
-            let publish_beat hb =
-              publish_status srv
-                (Util.Json.Obj
-                   [
-                     ("command", Util.Json.String "campaign");
-                     ("heartbeat", Campaign.Runner.heartbeat_json hb);
-                   ])
-            in
-            let heartbeat =
-              match (log_beat, srv) with
-              | None, None -> None
-              | _ ->
-                  Some
-                    (fun hb ->
-                      Option.iter (fun f -> f hb) log_beat;
-                      if srv <> None then publish_beat hb)
             in
             let jobs = resolve_jobs jobs in
             let executor =
@@ -1001,7 +918,7 @@ let campaign_cmd =
             if json then
               print_endline
                 (Util.Json.to_string (Campaign.Runner.summary_to_json summary))
-            else print_campaign_summary summary)))
+            else print_campaign_summary summary))
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1011,8 +928,7 @@ let campaign_cmd =
     Term.(
       const run $ targets_arg $ all_arg $ json_arg $ checkpoint_arg $ resume_arg
       $ retries_arg $ fuel_arg $ wall_arg $ watchdog_arg $ inject_arg
-      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ serve_arg
-      $ telemetry_term)
+      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ telemetry_term)
 
 (* ---- chaos ---- *)
 

@@ -122,22 +122,6 @@ let heartbeat_line hb =
       base ^ " | "
       ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s +%d" k v) l)
 
-(* The same beat as a JSON object — the /status document the live
-   observability endpoint serves. Full counter deltas, not the top-3 the
-   log line keeps: a scraper filters for itself. *)
-let heartbeat_json hb : Json.t =
-  Json.Obj
-    [
-      ("done", Json.Int hb.hb_done);
-      ("total", Json.Int hb.hb_total);
-      ("elapsed_s", Json.Float hb.hb_elapsed_s);
-      ("tasks_per_s", Json.Float hb.hb_tasks_per_s);
-      ("eta_s", Json.Float hb.hb_eta_s);
-      ("timeouts", Json.Int hb.hb_timeouts);
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) hb.hb_counters) );
-    ]
-
 type summary = {
   results : result list; (* target order; resumed results included *)
   n_completed : int;
@@ -466,7 +450,8 @@ let attempt ?hotspot ~budgets ~configs ~faults ~fuel src :
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
+    (* a sibling pool worker may create it between the test and here *)
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
 let sanitize_name name =
@@ -603,7 +588,11 @@ let errored_result target e =
 type reply = {
   w_result : result;
   w_failure : (Loopa.Driver.failure * int) option;
-  w_tele : (Obs.Telemetry.span list * (string * int) list * Json.t) option;
+  w_tele :
+    (Obs.Telemetry.span list
+    * (string * int) list
+    * Obs.Telemetry.histogram list)
+    option;
 }
 
 (* One checkpoint line, built whole and written with a single buffered

@@ -101,11 +101,6 @@ type heartbeat = {
     it happens. *)
 val heartbeat_line : heartbeat -> string
 
-(** The same beat as a JSON object (full counter deltas, not the top-3 of
-    the log line) — the [/status] document the live observability endpoint
-    ([Prof.Serve]) publishes per beat. *)
-val heartbeat_json : heartbeat -> Util.Json.t
-
 type summary = {
   results : result list;  (** target order; resumed results included *)
   n_completed : int;

@@ -57,15 +57,10 @@ let write fd v =
   write_all fd (header_for payload) 0 20;
   write_all fd payload 0 (Bytes.length payload)
 
-type frame_fault = Torn | Corrupt | Delay of float
-
-let sleepf d = ignore (Unix.select [] [] [] d)
+type frame_fault = Torn | Corrupt
 
 let write_faulty fault fd v =
   match fault with
-  | Delay d ->
-      if d > 0.0 then sleepf d;
-      write fd v
   | Torn ->
       (* header promises the whole payload; deliver only half of it —
          the reader blocks until our close, then sees EOF mid-frame *)

@@ -50,7 +50,6 @@ type frame_fault =
   | Corrupt
       (** correct length, payload bytes replaced — the checksum fails
           and the read raises {!Protocol_error} *)
-  | Delay of float  (** sleep that many seconds, then write normally *)
 
 (** [write_faulty fault fd v] writes [v]'s frame damaged per [fault].
     After [Torn] the stream is unusable; the caller is expected to close

@@ -329,69 +329,33 @@ let absorb ~(spans : span list) ~(counters : (string * int) list) =
     List.iter (fun (name, d) -> if d <> 0 then (counter name).total <- (counter name).total + d) counters
   end
 
-let wire_histograms () : Util.Json.t =
-  let hists =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) state.histograms []
-    |> List.filter (fun (_, (h : histogram)) -> h.count > 0)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Util.Json.Obj
-    (List.map
-       (fun (name, (h : histogram)) ->
-         ( name,
-           Util.Json.Obj
-             [
-               ("count", Util.Json.Int h.count);
-               ("sum", Util.Json.Float h.sum);
-               ("min", Util.Json.Float h.lo);
-               ("max", Util.Json.Float h.hi);
-               ( "buckets",
-                 Util.Json.List
-                   (Array.to_list
-                      (Array.map (fun b -> Util.Json.Int b) h.buckets)) );
-             ] ))
-       hists)
+(* Copies, not the registry records: [reset] zeroes those in place, and a
+   worker resets between taking its histograms and the parent absorbing
+   them. *)
+let wire_histograms () =
+  Hashtbl.fold
+    (fun _ (h : histogram) acc ->
+      if h.count > 0 then { h with buckets = Array.copy h.buckets } :: acc
+      else acc)
+    state.histograms []
 
-let absorb_histograms (j : Util.Json.t) =
+let absorb_histograms (ws : histogram list) =
   if state.recording then
-    match j with
-    | Util.Json.Obj fields ->
-        List.iter
-          (fun (name, hj) ->
-            let geti k =
-              Option.value ~default:0 (Option.bind (Util.Json.member k hj) Util.Json.to_int)
-            in
-            let getf k =
-              Option.value ~default:0.0
-                (Option.bind (Util.Json.member k hj) Util.Json.to_float)
-            in
-            let count = geti "count" in
-            if count > 0 then begin
-              let h = histogram name in
-              let lo = getf "min" and hi = getf "max" in
-              if h.count = 0 then begin
-                h.lo <- lo;
-                h.hi <- hi
-              end
-              else begin
-                h.lo <- Float.min h.lo lo;
-                h.hi <- Float.max h.hi hi
-              end;
-              h.count <- h.count + count;
-              h.sum <- h.sum +. getf "sum";
-              (match Option.bind (Util.Json.member "buckets" hj) Util.Json.to_list with
-              | Some bs ->
-                  List.iteri
-                    (fun i b ->
-                      if i < n_buckets then
-                        h.buckets.(i) <-
-                          h.buckets.(i)
-                          + Option.value ~default:0 (Util.Json.to_int b))
-                    bs
-              | None -> ())
-            end)
-          fields
-    | _ -> ()
+    List.iter
+      (fun (w : histogram) ->
+        let h = histogram w.hname in
+        if h.count = 0 then begin
+          h.lo <- w.lo;
+          h.hi <- w.hi
+        end
+        else begin
+          h.lo <- Float.min h.lo w.lo;
+          h.hi <- Float.max h.hi w.hi
+        end;
+        h.count <- h.count + w.count;
+        h.sum <- h.sum +. w.sum;
+        Array.iteri (fun i b -> h.buckets.(i) <- h.buckets.(i) + b) w.buckets)
+      ws
 
 (* ---- marks ---- *)
 

@@ -133,14 +133,14 @@ val histograms : unit -> (string * hist_snapshot) list
     everything else becomes a root. No-op while disabled. *)
 val absorb : spans:span list -> counters:(string * int) list -> unit
 
-(** Raw histogram state (per-bucket counts, not cumulative) as JSON — the
-    worker→parent wire format. Only histograms with observations. *)
-val wire_histograms : unit -> Util.Json.t
+(** Copies of the registry's histograms that have observations — what a
+    pool worker sends its parent. Later [observe] or {!reset} calls leave
+    the copies unchanged. *)
+val wire_histograms : unit -> histogram list
 
-(** Merge a {!wire_histograms} payload into the local registry: counts,
-    sums and buckets add; min/max widen. No-op while disabled; unknown or
-    malformed fields are ignored. *)
-val absorb_histograms : Util.Json.t -> unit
+(** Merge {!wire_histograms} copies into the local registry by name:
+    counts, sums and buckets add; min/max widen. No-op while disabled. *)
+val absorb_histograms : histogram list -> unit
 
 (** A position in the telemetry stream; see {!since}. *)
 type mark

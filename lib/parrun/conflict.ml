@@ -39,23 +39,12 @@ let rec overlap (a : ranges) (b : ranges) : int option =
       else if hi2 <= lo1 then overlap a tb
       else Some (max lo1 lo2)
 
-type kind = Write_write | Read_write
-
-let kind_name = function
-  | Write_write -> "write/write"
-  | Read_write -> "read/write"
-
-type conflict = {
-  kind : kind;
-  addr : int;
-  shard_a : int;
-  shard_b : int;
-  writer : int;
-}
+type conflict = { addr : int; writer : int; reader : int }
 
 let conflict_to_string c =
-  Printf.sprintf "%s overlap at word %d between shard %d and shard %d (writer: shard %d)"
-    (kind_name c.kind) c.addr c.shard_a c.shard_b c.writer
+  Printf.sprintf
+    "read/write overlap at word %d between shard %d and shard %d (writer: shard %d)"
+    c.addr c.writer c.reader c.writer
 
 let detect ~(writes : ranges array) ~(reads : ranges array) ~n : conflict option
     =
@@ -71,16 +60,13 @@ let detect ~(writes : ranges array) ~(reads : ranges array) ~n : conflict option
          one way a shard can diverge. The reverse direction (an earlier
          shard reading what a later shard writes) is an anti-dependence
          the snapshot resolves exactly as serial order does: the reader
-         sees the pre-loop bytes in both executions, so it commits. *)
-      (match overlap writes.(a) writes.(b) with
-      | Some addr ->
-          found := Some { kind = Write_write; addr; shard_a = a; shard_b = b; writer = a }
-      | None -> (
-          match overlap writes.(a) reads.(b) with
-          | Some addr ->
-              found :=
-                Some { kind = Read_write; addr; shard_a = a; shard_b = b; writer = a }
-          | None -> ()));
+         sees the pre-loop bytes in both executions, so it commits. Two
+         shards writing one word is an output dependence the in-order
+         commit resolves: the later shard's write is applied last, as
+         serial order leaves it. *)
+      (match overlap writes.(a) reads.(b) with
+      | Some addr -> found := Some { addr; writer = a; reader = b }
+      | None -> ());
       incr j
     done;
     incr i

@@ -3,13 +3,12 @@
 
     Each shard of a sharded loop invocation reports the memory it wrote
     and the memory it {e exposed-read} (read before writing it itself) as
-    sorted disjoint address ranges. A conflict is any cross-shard
-    write/write overlap, or an {e earlier} shard's write overlapping a
-    {e later} shard's exposed read: the later shard forked from
-    loop-entry state, so that read returned bytes the serial execution
-    would already have overwritten — a loop-carried flow the static
-    Proven_doall verdict claimed away. The commit is abandoned, the loop
-    is re-executed serially, and the verdict is quarantined.
+    sorted disjoint address ranges. A conflict is an {e earlier} shard's
+    write overlapping a {e later} shard's exposed read: the later shard
+    forked from loop-entry state, so that read returned bytes the serial
+    execution would already have overwritten — a loop-carried flow the
+    static Proven_doall verdict claimed away. The commit is abandoned,
+    the loop is re-executed serially, and the verdict is quarantined.
 
     The reverse read/write order — an earlier shard reading an address
     only {e later} shards write — is {e not} a conflict: it is an
@@ -18,7 +17,11 @@
     executions, because every write to that address belongs to a later
     iteration). Loops like a range-proven forward gather
     ([buf\[i\] += f(buf\[i + off\])] with [off >= 1]) are genuinely
-    DOALL and must commit, not quarantine. *)
+    DOALL and must commit, not quarantine.
+
+    Nor is a write/write overlap: the commit applies the shards' write
+    lists in round and shard order, so the later shard's value is the one
+    left in memory, as in serial order. *)
 
 (** Sorted, disjoint, half-open [\[lo, hi)] address ranges. *)
 type ranges = (int * int) list
@@ -37,27 +40,16 @@ val cardinal : ranges -> int
 (** First overlapping address of two canonical range lists, if any. *)
 val overlap : ranges -> ranges -> int option
 
-type kind = Write_write | Read_write
-
-val kind_name : kind -> string
-
 type conflict = {
-  kind : kind;
   addr : int;  (** first overlapping address found *)
-  shard_a : int;
-  shard_b : int;  (** [shard_a < shard_b]; for {!Read_write} the earlier
-                      shard [shard_a] wrote and [shard_b] exposed-read *)
-  writer : int;  (** which of the two shards wrote [addr]: always
-                     [shard_a] ({!Write_write} by convention,
-                     {!Read_write} by direction) *)
+  writer : int;  (** the earlier shard, which wrote [addr] *)
+  reader : int;  (** the later shard, which exposed-read [addr] *)
 }
 
 val conflict_to_string : conflict -> string
 
-(** Check every shard pair among shards [0 .. n-1]: write sets against
-    write sets, and each {e earlier} shard's write set against each
-    {e later} shard's exposed-read set. Deterministic: the
-    lowest-indexed pair (and within a pair, write/write before
-    read/write) wins. Arrays are indexed by shard; entries past [n] are
-    ignored. *)
+(** Check each {e earlier} shard's write set against each {e later}
+    shard's exposed-read set, among shards [0 .. n-1]. Deterministic: the
+    lowest-indexed pair wins. Arrays are indexed by shard; entries past
+    [n] are ignored. *)
 val detect : writes:ranges array -> reads:ranges array -> n:int -> conflict option

@@ -9,8 +9,8 @@
    clean; anything else (conflict, loss, timeout, trap, short shard,
    overflow) discards every shard result and lets the machine run the
    untouched loop serially. A commit applies the absorbed shards' write
-   lists in round and shard order, so a later round's write to a word
-   wins, as in serial execution. *)
+   lists in round and shard order, so when two shards write one word, the
+   later shard's write wins, as in serial execution. *)
 
 module C = Loopa.Classify
 module Machine = Interp.Machine

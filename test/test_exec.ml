@@ -198,17 +198,6 @@ let test_ipc_write_faulty_corrupt () =
             (contains m "unparseable")
       | _ -> Alcotest.fail "corrupt frame should be a protocol error")
 
-let test_ipc_write_faulty_delay_is_lossless () =
-  with_pipe (fun r w ->
-      let msg = J.Obj [ ("op", J.String "done"); ("i", J.Int 3) ] in
-      let t0 = Unix.gettimeofday () in
-      Ipc.write_faulty (Ipc.Delay 0.05) w msg;
-      Alcotest.(check bool) "the delay actually happened" true
-        (Unix.gettimeofday () -. t0 >= 0.045);
-      match Ipc.read r with
-      | Ipc.Msg got -> Alcotest.check json "frame intact" msg got
-      | Ipc.Eof -> Alcotest.fail "unexpected EOF")
-
 (* ---- pool: ordering ---- *)
 
 let task_index payload = Option.value ~default:(-1) (J.to_int payload)
@@ -578,8 +567,6 @@ let () =
             test_ipc_write_faulty_torn;
           Alcotest.test_case "faulty writer: corrupt" `Quick
             test_ipc_write_faulty_corrupt;
-          Alcotest.test_case "faulty writer: delay is lossless" `Quick
-            test_ipc_write_faulty_delay_is_lossless;
         ] );
       ( "pool",
         [

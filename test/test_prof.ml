@@ -2,9 +2,8 @@
    partitions the machine clock (folded self-weights sum to
    instructions_retired), folded exports are byte-deterministic across
    runs, profiling never perturbs the guest (zero-cost-when-off parity),
-   the sampler is a pure function of the clock, the perfdiff gate passes
-   identical snapshots and catches a 2x slowdown, and the live endpoint
-   serves the latest published /metrics and /status snapshots. *)
+   the sampler is a pure function of the clock, and the perfdiff gate
+   passes identical snapshots and catches a 2x slowdown. *)
 
 let contains = Astring_contains.contains
 
@@ -265,78 +264,6 @@ let test_perfdiff_history_median () =
   Alcotest.(check bool) "2.5x over the median regresses" true
     (Report.Perfdiff.regressions bad <> [])
 
-(* ---- the live endpoint ---- *)
-
-let http_get port path =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect sock
-        (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path
-      in
-      let _ = Unix.write_substring sock req 0 (String.length req) in
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 1024 in
-      let rec drain () =
-        match Unix.read sock chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      Buffer.contents buf)
-
-(* the publish pipe and the responder's select loop race benignly; retry
-   until the snapshot is visible rather than sleeping a fixed amount *)
-let rec await_body ?(tries = 50) port path needle =
-  let resp = http_get port path in
-  if contains resp needle then resp
-  else if tries = 0 then
-    Alcotest.fail
-      (Printf.sprintf "%s never served %S (last response: %s)" path needle
-         resp)
-  else begin
-    Unix.sleepf 0.02;
-    await_body ~tries:(tries - 1) port path needle
-  end
-
-let test_serve_endpoint () =
-  let srv = Prof.Serve.start ~port:0 () in
-  Fun.protect
-    ~finally:(fun () -> Prof.Serve.stop srv)
-    (fun () ->
-      let port = Prof.Serve.port srv in
-      Alcotest.(check bool) "port 0 picked a real port" true (port > 0);
-      Prof.Serve.publish srv ~metrics:"loopa_test_metric 42\n"
-        ~status:(Util.Json.Obj [ ("phase", Util.Json.String "warm") ]);
-      let m = await_body port "/metrics" "loopa_test_metric 42" in
-      Alcotest.(check bool) "metrics content-type" true
-        (contains m "text/plain");
-      let s = await_body port "/status" "\"phase\":\"warm\"" in
-      Alcotest.(check bool) "status is JSON" true
-        (contains s "application/json");
-      (* the latest publish wins *)
-      Prof.Serve.publish srv ~metrics:"loopa_test_metric 43\n"
-        ~status:(Util.Json.Obj [ ("phase", Util.Json.String "done") ]);
-      ignore (await_body port "/metrics" "loopa_test_metric 43");
-      ignore (await_body port "/status" "\"phase\":\"done\"");
-      let missing = http_get port "/nope" in
-      Alcotest.(check bool) "unknown path is 404" true
-        (contains missing "404"))
-
-let test_serve_stop_idempotent () =
-  let srv = Prof.Serve.start ~port:0 () in
-  Prof.Serve.publish srv ~metrics:"x 1\n" ~status:Util.Json.Null;
-  Prof.Serve.stop srv;
-  Prof.Serve.stop srv;
-  (* publishing after stop is a silent no-op, not a crash *)
-  Prof.Serve.publish srv ~metrics:"x 2\n" ~status:Util.Json.Null
-
 let () =
   Alcotest.run "prof"
     [
@@ -373,12 +300,5 @@ let () =
           Alcotest.test_case "counts skipped" `Quick test_perfdiff_counts_skipped;
           Alcotest.test_case "history median gate" `Quick
             test_perfdiff_history_median;
-        ] );
-      ( "serve",
-        [
-          Alcotest.test_case "metrics and status served" `Quick
-            test_serve_endpoint;
-          Alcotest.test_case "stop idempotent, publish after stop" `Quick
-            test_serve_stop_idempotent;
         ] );
     ]
