@@ -2,7 +2,9 @@
    and supervised respawn (see the .mli for the contract). The parent
    owns the queue and all bookkeeping; a worker is a dumb loop: read one
    task frame, run it, reply with its result or its exception, and exit
-   on EOF. One pipe pair per worker; frames via Exec.Ipc.
+   on EOF. One pipe pair per worker; frames via Exec.Ipc. An idle worker
+   is retired as soon as nothing is queued: the parent closes its task
+   pipe and it exits while the others finish.
 
    Supervision: a watchdog SIGKILLs and reaps any worker whose task
    outlives the per-task wall deadline (the task is delivered as
@@ -98,6 +100,7 @@ type worker = {
   mutable running : int option; (* the task sent and not yet answered *)
   mutable started_at : float; (* gettimeofday when [running] was set *)
   mutable alive : bool;
+  mutable retired : bool; (* its task pipe [wr] is closed: it exits on EOF *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -134,6 +137,7 @@ let fork_worker ~other_fds ~worker_init ~work ~chaos =
         running = None;
         started_at = 0.0;
         alive = true;
+        retired = false;
       }
 
 let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
@@ -148,6 +152,9 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
     done;
     let decided = ref 0 in
     let workers : worker array ref = ref [||] in
+    (* A worker is forked only while tasks are queued, and retired only
+       once none are, so no live worker is retired yet: both of its
+       pipe ends are still open in the parent. *)
     let other_fds () =
       Array.to_list !workers
       |> List.concat_map (fun w -> if w.alive then [ w.wr; w.rd ] else [])
@@ -170,7 +177,7 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
     let rec on_death (w : worker) ~stopping =
       if w.alive then begin
         w.alive <- false;
-        close_quiet w.wr;
+        if not w.retired then close_quiet w.wr;
         close_quiet w.rd;
         let cause = reap w.pid in
         let running = w.running in
@@ -188,11 +195,18 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
         end
       end
     (* Hand an idle worker the next queued task, marked running from the
-       moment it is sent: a worker that dies before replying costs it. *)
+       moment it is sent: a worker that dies before replying costs it.
+       With nothing queued, retire it: closing its task pipe ends it (EOF),
+       and it exits while the parent waits for the others. Every pass
+       visits every idle worker, so [retired] keeps a retired worker's
+       closed descriptor from being closed again after its number was
+       reused (say, for the campaign checkpoint). *)
     and feed (w : worker) =
-      if w.alive && w.running = None then
+      if w.alive && w.running = None && not w.retired then
         match Queue.take_opt pending with
-        | None -> ()
+        | None ->
+            w.retired <- true;
+            close_quiet w.wr
         | Some i -> (
             w.running <- Some i;
             w.started_at <- Unix.gettimeofday ();
@@ -242,21 +256,33 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
     in
+    (* Ending the run: a worker not retired is killed (it may hold a
+       task), a retired one is already on its way out. Every pipe is
+       closed before any worker is reaped, so no wait can hang on a pipe
+       the parent holds. *)
     Fun.protect
       ~finally:(fun () ->
-        Array.iter
+        let live = List.filter (fun w -> w.alive) (Array.to_list !workers) in
+        List.iter
           (fun w ->
-            if w.alive then begin
+            if not w.retired then begin
               (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (reap w.pid);
-              close_quiet w.wr;
-              close_quiet w.rd;
-              w.alive <- false
-            end)
-          !workers;
+              close_quiet w.wr
+            end;
+            close_quiet w.rd)
+          live;
+        List.iter
+          (fun w ->
+            ignore (reap w.pid);
+            w.alive <- false)
+          live;
         Option.iter (fun b -> ignore (Sys.signal Sys.sigpipe b)) old_sigpipe)
       (fun () ->
-        workers := Array.init jobs (fun _ -> spawn ());
+        (* one at a time, so each fork sees, and closes, the parent's ends
+           of every sibling forked before it *)
+        for _ = 1 to jobs do
+          workers := Array.append !workers [| spawn () |]
+        done;
         while !decided < n && not (should_stop ()) do
           Array.iter feed !workers;
           let rds =

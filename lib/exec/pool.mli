@@ -16,7 +16,15 @@
     handed the next task before the finished one reaches [on_complete],
     so the caller's bookkeeping overlaps that task. A slow task delays
     only itself: the other workers keep draining the queue. EOF on its
-    task pipe ends a worker.
+    task pipe ends a worker: an idle worker is retired as soon as nothing
+    is queued, by closing that pipe, and exits while the parent waits for
+    the others. Workers are forked one at a time, and each closes the
+    parent's ends of the pipes of every sibling forked before it.
+
+    {b One task per fork.} With [jobs >= Array.length tasks], each task
+    runs in its own fresh fork of the caller: no worker is handed a
+    second task, so [work] may leave its worker's image in any state.
+    [Parrun.Runner]'s shard workers rely on this.
 
     {b Fault isolation.} A worker that exits, is killed by a signal, or
     raises out of [work] is reaped ([waitpid]) and its in-flight task is
@@ -83,7 +91,8 @@ val detect_jobs : unit -> int
     [on_complete] fires once per decided task, in completion order.
     [should_stop] is polled between scheduling steps; when it turns true
     the pool kills its workers and returns with the undecided outcomes
-    still [None].
+    still [None]. Every worker has been reaped when [run] returns or
+    raises.
 
     [task_deadline_s] and [chaos] are the supervision and chaos knobs
     described above. A [chaos] plan containing

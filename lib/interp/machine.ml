@@ -113,7 +113,7 @@ type loop_commit = {
   lc_clock : int;
   lc_accesses : int;
   lc_regs : (int * Rvalue.rv) list;
-  lc_writes : (int * Rvalue.rv) list;
+  lc_writes : (int * Rvalue.rv array) list;
   lc_output : string;
 }
 
@@ -289,9 +289,9 @@ let set_hooks (t : t) hooks = t.hooks <- hooks
 let set_delegate (t : t) d = t.delegate <- d
 
 (* Raw word access, no tick and no access counting: the guarded runner's
-   shard workers use these to snapshot final written values and to undo a
-   shard's writes before reporting, and the parent uses them to apply a
-   committed write set. Bounds-checked like any program access. *)
+   shard workers use these to apply earlier rounds' writes to their
+   snapshot and to read back the final values of the words they wrote.
+   Bounds-checked like any program access. *)
 let read_word (t : t) addr = Rvalue.load t.mem addr
 
 let write_word (t : t) addr v = Rvalue.store t.mem addr v
@@ -299,13 +299,10 @@ let write_word (t : t) addr v = Rvalue.store t.mem addr v
 let mem_words (t : t) = Rvalue.words_in_use t.mem
 
 (* Program-output splicing for shard isolation: a worker records the length
-   before running its iteration range, ships the delta, and truncates back
-   so its buffer never leaks shard output into a later task. *)
+   before running its iteration range and ships the delta. *)
 let output_length (t : t) = Buffer.length t.out
 
 let output_since (t : t) pos = Buffer.sub t.out pos (Buffer.length t.out - pos)
-
-let truncate_output (t : t) pos = Buffer.truncate t.out pos
 
 (* Evaluate an instruction operand against an explicit frame (the guarded
    runner resolves loop-entry values and symbolic trip bounds this way). *)
@@ -525,7 +522,9 @@ let apply_commit t (c : loop_commit) (regs : rv array) =
   if Array.length t.opcounts <> 0 then
     t.opcounts.(opc_committed) <- t.opcounts.(opc_committed) + c.lc_clock;
   List.iter (fun (id, v) -> regs.(id) <- v) c.lc_regs;
-  List.iter (fun (addr, v) -> Rvalue.store t.mem addr v) c.lc_writes;
+  List.iter
+    (fun (addr, vs) -> Array.iteri (fun k v -> Rvalue.store t.mem (addr + k) v) vs)
+    c.lc_writes;
   t.mem_accesses <- t.mem_accesses + c.lc_accesses;
   t.mem_events <- t.mem_events + c.lc_accesses;
   Buffer.add_string t.out c.lc_output

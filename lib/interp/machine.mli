@@ -43,9 +43,10 @@ type loop_commit = {
   lc_clock : int;
   lc_accesses : int;
   lc_regs : (int * Rvalue.rv) list;
-  lc_writes : (int * Rvalue.rv) list;
-      (** may name a word more than once: the writes apply in list order,
-          so the last one wins *)
+  lc_writes : (int * Rvalue.rv array) list;
+      (** runs of consecutive words: each run's first address and the
+          values stored from it upward. Runs may overlap: they apply in
+          list order, so the last write to a word wins *)
   lc_output : string;
 }
 
@@ -160,9 +161,10 @@ val set_hooks : t -> Events.hooks -> unit
 val set_delegate : t -> (t -> loop_entry -> loop_commit option) option -> unit
 
 (** Raw word read/write: no tick, no access counting, bounds-checked.
-    Shard workers snapshot final written values and undo their writes with
-    these; the parent applies a committed write set through
-    {!loop_commit.lc_writes} instead. *)
+    Shard workers apply earlier rounds' writes to their snapshot and read
+    back the final values of the words they wrote with these; the parent
+    applies a committed write set through {!loop_commit.lc_writes}
+    instead. *)
 val read_word : t -> int -> Rvalue.rv
 
 val write_word : t -> int -> Rvalue.rv -> unit
@@ -174,14 +176,10 @@ val write_word : t -> int -> Rvalue.rv -> unit
 val mem_words : t -> int
 
 (** Program-output splicing for shard isolation: record {!output_length}
-    before a range, ship {!output_since} that position, then
-    {!truncate_output} back so a worker never leaks shard output into a
-    later task. *)
+    before a range and ship {!output_since} that position. *)
 val output_length : t -> int
 
 val output_since : t -> int -> string
-
-val truncate_output : t -> int -> unit
 
 (** Evaluate an instruction operand against an explicit register/argument
     frame (resolves globals through the machine's memory layout). *)

@@ -4,31 +4,22 @@
 
 type ranges = (int * int) list
 
-let normalize (rs : (int * int) list) : ranges =
-  let rs = List.filter (fun (lo, hi) -> hi > lo) rs in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) rs in
-  let rec merge = function
-    | (lo1, hi1) :: (lo2, hi2) :: rest when lo2 <= hi1 ->
-        merge ((lo1, max hi1 hi2) :: rest)
-    | r :: rest -> r :: merge rest
-    | [] -> []
-  in
-  merge sorted
-
-let of_sorted_addrs (addrs : int list) : ranges =
-  let rec build = function
-    | [] -> []
-    | a :: rest ->
-        let rec run hi = function
-          | x :: tl when x = hi -> run (hi + 1) tl
-          | tl -> (hi, tl)
-        in
-        let hi, tl = run (a + 1) rest in
-        (a, hi) :: build tl
-  in
-  build addrs
-
-let cardinal (rs : ranges) = List.fold_left (fun n (lo, hi) -> n + hi - lo) 0 rs
+(* Downward, so the list builds in address order without a reverse. *)
+let of_marks (marks : Bytes.t) ~bit : ranges =
+  let has a = Char.code (Bytes.unsafe_get marks a) land bit <> 0 in
+  let runs = ref [] in
+  let a = ref (Bytes.length marks - 1) in
+  while !a >= 0 do
+    if has !a then begin
+      let hi = !a + 1 in
+      while !a >= 0 && has !a do
+        decr a
+      done;
+      runs := (!a + 1, hi) :: !runs
+    end
+    else decr a
+  done;
+  !runs
 
 (* Merge-sweep over two sorted disjoint lists: first common address. *)
 let rec overlap (a : ranges) (b : ranges) : int option =

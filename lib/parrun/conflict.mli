@@ -3,12 +3,13 @@
 
     Each shard of a sharded loop invocation reports the memory it wrote
     and the memory it {e exposed-read} (read before writing it itself) as
-    sorted disjoint address ranges. A conflict is an {e earlier} shard's
-    write overlapping a {e later} shard's exposed read: the later shard
-    forked from loop-entry state, so that read returned bytes the serial
-    execution would already have overwritten — a loop-carried flow the
-    static Proven_doall verdict claimed away. The commit is abandoned,
-    the loop is re-executed serially, and the verdict is quarantined.
+    sorted disjoint address ranges, scanned from its mark bytes. A
+    conflict is an {e earlier} shard's write overlapping a {e later}
+    shard's exposed read: the later shard forked from loop-entry state,
+    so that read returned bytes the serial execution would already have
+    overwritten — a loop-carried flow the static Proven_doall verdict
+    claimed away. The commit is abandoned, the loop is re-executed
+    serially, and the verdict is quarantined.
 
     The reverse read/write order — an earlier shard reading an address
     only {e later} shards write — is {e not} a conflict: it is an
@@ -26,16 +27,10 @@
 (** Sorted, disjoint, half-open [\[lo, hi)] address ranges. *)
 type ranges = (int * int) list
 
-(** Sort and coalesce arbitrary (possibly overlapping, unsorted) ranges
-    into canonical {!ranges}. *)
-val normalize : (int * int) list -> ranges
-
-(** Canonical ranges from a sorted list of distinct addresses (coalesces
-    consecutive runs). *)
-val of_sorted_addrs : int list -> ranges
-
-(** Total words covered. *)
-val cardinal : ranges -> int
+(** [of_marks marks ~bit] is the canonical {!ranges} of the addresses
+    [a] whose mark byte [Bytes.get marks a] has [bit] set: one scan, in
+    address order, consecutive addresses coalesced into one range. *)
+val of_marks : Bytes.t -> bit:int -> ranges
 
 (** First overlapping address of two canonical range lists, if any. *)
 val overlap : ranges -> ranges -> int option

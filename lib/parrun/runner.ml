@@ -2,15 +2,18 @@
    eligible loop invocation across forked pool workers; fork gives every
    shard a copy-on-write snapshot of exact loop-entry state, so a shard
    can only diverge from its serial counterpart by reading an address an
-   earlier shard wrote — and the access logs expose exactly that. A
-   worker gets its (lo, n) range and hands back its [shard_report] as a
-   plain value over the pool's typed wire. The parent commits the
-   combined effect only when the cross-shard conflict detector comes back
-   clean; anything else (conflict, loss, timeout, trap, short shard,
-   overflow) discards every shard result and lets the machine run the
-   untouched loop serially. A commit applies the absorbed shards' write
-   lists in round and shard order, so when two shards write one word, the
-   later shard's write wins, as in serial execution. *)
+   earlier shard wrote — and the access marks expose exactly that. A
+   round runs one pool with a job per shard, so every shard runs in its
+   own fresh fork (the pool's contract at [jobs >= tasks]) and its worker
+   exits after replying: a worker never cleans its image up for a next
+   task. A worker gets its (lo, n) range and hands back its
+   [shard_report] as a plain value over the pool's typed wire. The parent
+   commits the combined effect only when the cross-shard conflict
+   detector comes back clean; anything else (conflict, loss, timeout,
+   trap, short shard, overflow) discards every shard result and lets the
+   machine run the untouched loop serially. A commit applies the absorbed
+   shards' write runs in round and shard order, so when two shards write
+   one word, the later shard's write wins, as in serial execution. *)
 
 module C = Loopa.Classify
 module Machine = Interp.Machine
@@ -647,60 +650,39 @@ type shard_report = {
   sr_accesses : int;
   sr_output : string;
   sr_regs : (int * Rvalue.rv) list;
-  sr_writes : (int * Rvalue.rv) list;
-  sr_wr : Conflict.ranges;
+  sr_writes : (int * Rvalue.rv array) list;
   sr_rd : Conflict.ranges;
 }
 
-let sorted_addrs v =
-  let a = Ir.Vec.to_array v in
-  Array.sort Int.compare a;
-  Array.to_list a
-
 (* The bits of a word's mark byte in a shard's log. *)
-let saved = 1 (* its value before the shard is in the undo log *)
-let written = 2 (* the shard wrote it *)
-let exposed = 4 (* the shard read it before writing it *)
+let written = 1 (* the shard wrote it *)
+let exposed = 2 (* the shard read it before writing it *)
 
-(* Runs in the forked worker. The machine image is a snapshot of exact
-   loop-entry state; the write lists of earlier rounds are applied first,
-   in round and shard order (and undone after), so later rounds see
-   committed effects. The access hook keeps one mark byte per guest word
-   and logs each word once: its first write (with the undo value) or its
-   exposed read. After the range runs, final written values are
-   snapshotted and all memory and output mutations rolled back, leaving
-   the image clean for the worker's next task. *)
+(* Runs in a forked worker that exits once it has replied (one task per
+   fork), so nothing it does to its image needs undoing. The image is a
+   snapshot of exact loop-entry state; the write runs of earlier rounds
+   are applied first, in round and shard order, so later rounds see
+   committed effects. The access hook only sets a word's mark bits and
+   counts first writes against the cap; after the range, one scan of the
+   marks per bit yields the write runs (with their final values) and the
+   exposed reads, in address order. A word read before it is written
+   carries both bits and lands in both. *)
 let worker_task m (el : elig) (entry : Machine.loop_entry)
-    (seeds : (int * resolved) list) (pre_writes : (int * Rvalue.rv) list list)
-    ~max_writes ((lo, n) : int * int) : shard_report =
+    (seeds : (int * resolved) list)
+    (pre_writes : (int * Rvalue.rv array) list list) ~max_writes
+    ((lo, n) : int * int) : shard_report =
   let max_iters = if n < 0 then max_int / 2 else n in
+  List.iter
+    (List.iter (fun (a, vs) ->
+         Array.iteri (fun k v -> Machine.write_word m (a + k) v) vs))
+    pre_writes;
   let words = Machine.mem_words m in
   let marks = Bytes.make words '\000' in
-  let has a bit = Char.code (Bytes.unsafe_get marks a) land bit <> 0 in
-  let mark a bit =
-    Bytes.unsafe_set marks a
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get marks a) lor bit))
-  in
-  let wr = Ir.Vec.create ~dummy:0 and rd = Ir.Vec.create ~dummy:0 in
-  let undo = Ir.Vec.create ~dummy:0 in
-  let undo_v = Ir.Vec.create ~dummy:(Rvalue.Vint 0L) in
-  let keep_old a =
-    if not (has a saved) then begin
-      let v = Machine.read_word m a in
-      mark a saved;
-      Ir.Vec.push undo a;
-      Ir.Vec.push undo_v v
-    end
-  in
-  List.iter
-    (List.iter (fun (a, v) ->
-         keep_old a;
-         Machine.write_word m a v))
-    pre_writes;
+  let nwritten = ref 0 in
   let overflowed = ref false in
   let hooks =
     (* a provably store-free body needs no logging at all: nothing to
-       undo, nothing to ship, nothing that could conflict *)
+       ship, nothing that could conflict *)
     if el.el_logfree then Interp.Events.no_hooks
     else
       {
@@ -708,25 +690,24 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
         Interp.Events.on_mem_access =
           (fun ~addr ~is_write ~clock:_ ->
             (* an address off the image traps in the access itself *)
-            if addr >= 0 && addr < words then
+            if addr >= 0 && addr < words then begin
+              let b = Char.code (Bytes.unsafe_get marks addr) in
               if is_write then begin
-                if not (has addr written) then begin
-                  keep_old addr;
-                  mark addr written;
-                  Ir.Vec.push wr addr;
+                if b land written = 0 then begin
+                  Bytes.unsafe_set marks addr (Char.unsafe_chr (b lor written));
+                  incr nwritten;
                   (* abort the shard as soon as the cap is blown — running
                      to completion only delays the inevitable rollback *)
-                  if Ir.Vec.length wr > max_writes then begin
+                  if !nwritten > max_writes then begin
                     overflowed := true;
                     raise
                       (Rvalue.Runtime_error "parrun: shard write-set overflow")
                   end
                 end
               end
-              else if not (has addr (written lor exposed)) then begin
-                mark addr exposed;
-                Ir.Vec.push rd addr
-              end);
+              else if b = 0 then
+                Bytes.unsafe_set marks addr (Char.unsafe_chr exposed)
+            end);
       }
   in
   let c0 = Machine.clock m in
@@ -756,21 +737,11 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
         msg := e;
         None
   in
-  Machine.set_hooks m Interp.Events.no_hooks;
-  let clock_d = Machine.clock m - c0 in
-  let acc_d = Machine.mem_accesses m - a0 in
-  let out_d = Machine.output_since m o0 in
-  Machine.truncate_output m o0;
   if !overflowed then begin
     status := "overflow";
-    msg := Printf.sprintf "%d distinct written words" (Ir.Vec.length wr)
+    msg := Printf.sprintf "%d distinct written words" !nwritten
   end;
-  let waddrs = sorted_addrs wr in
   let ok = !status = "ok" in
-  let writes =
-    if ok then List.map (fun a -> (a, Machine.read_word m a)) waddrs else []
-  in
-  Ir.Vec.iteri (fun k a -> Machine.write_word m a (Ir.Vec.get undo_v k)) undo;
   let iters, exit_ =
     match res with
     | Some rr -> (rr.Machine.rr_iters, rr.Machine.rr_exit)
@@ -781,15 +752,21 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
     sr_msg = !msg;
     sr_iters = iters;
     sr_exit = exit_;
-    sr_clock = clock_d;
-    sr_accesses = acc_d;
-    sr_output = out_d;
+    sr_clock = Machine.clock m - c0;
+    sr_accesses = Machine.mem_accesses m - a0;
+    sr_output = Machine.output_since m o0;
     sr_regs =
       (if ok then Array.to_list el.el_dump |> List.map (fun id -> (id, regs.(id)))
        else []);
-    sr_writes = writes;
-    sr_wr = Conflict.of_sorted_addrs waddrs;
-    sr_rd = Conflict.of_sorted_addrs (sorted_addrs rd);
+    (* a failed shard ends the round's live prefix, so no later shard's
+       reads are checked against its writes and nothing of it commits *)
+    sr_writes =
+      (if ok then
+         Conflict.of_marks marks ~bit:written
+         |> List.map (fun (a, hi) ->
+                (a, Array.init (hi - a) (fun k -> Machine.read_word m (a + k))))
+       else []);
+    sr_rd = Conflict.of_marks marks ~bit:exposed;
   }
 
 (* ---- conflict bookkeeping ---- *)
@@ -881,8 +858,8 @@ let shard_invocation t m (st : loop_stats) (el : elig)
   let fuel_left = Machine.fuel m - Machine.clock m in
   let s = t.knobs.jobs in
   (* invocation-scoped accumulators: effects of absorbed rounds; the
-     absorbed shards' write lists newest first *)
-  let acc_writes : (int * Rvalue.rv) list list ref = ref [] in
+     absorbed shards' write runs newest first *)
+  let acc_writes : (int * Rvalue.rv array) list list ref = ref [] in
   let acc_out = Buffer.create 256 in
   let acc_clock = ref 0 in
   let acc_acc = ref 0 in
@@ -920,22 +897,11 @@ let shard_invocation t m (st : loop_stats) (el : elig)
       worker_task m el entry seeds (List.rev !acc_writes)
         ~max_writes:t.knobs.max_shard_writes
     in
+    (* one job per shard: each shard runs in its own fresh fork, which
+       [worker_task] relies on *)
     let outs =
       Exec.Pool.run ~jobs:nshards
-        ~worker_init:(fun () ->
-          Machine.set_delegate m None;
-          (* Shard workers are short-lived and share the parent image
-             copy-on-write: every major-GC mark writes into block headers
-             across the inherited heap, forcing the kernel to copy it page
-             by page. Trade memory for pages: a big minor heap and a lazy
-             major make a worker's GC touch as little of the snapshot as
-             possible. *)
-          Gc.set
-            {
-              (Gc.get ()) with
-              Gc.minor_heap_size = 8 * 1024 * 1024;
-              space_overhead = 800;
-            })
+        ~worker_init:(fun () -> Machine.set_delegate m None)
         ?task_deadline_s:deadline ?chaos ~work tasks
     in
     let reports =
@@ -966,7 +932,10 @@ let shard_invocation t m (st : loop_stats) (el : elig)
     let writes =
       Array.init nshards (fun i ->
           if i <= !limit then
-            match reports.(i) with Some r -> r.sr_wr | None -> []
+            match reports.(i) with
+            | Some r ->
+                List.map (fun (a, vs) -> (a, a + Array.length vs)) r.sr_writes
+            | None -> []
           else [])
     in
     let reads =

@@ -4,7 +4,7 @@
     fresh entry to an eligible [Proven_doall] loop, shards the iteration
     space across {!Exec.Pool} workers (fork gives every shard a
     copy-on-write snapshot of exact loop-entry state), collects each
-    shard's register dump, write set and memory-access log, and — only if
+    shard's register dump, write runs and exposed reads, and — only if
     the parent-side {!Conflict} detector finds the shards independent —
     commits the combined whole-loop effect back to the machine. Any
     conflict, shard loss, timeout, trap or validation failure discards
@@ -90,10 +90,12 @@ type shard_report = {
   sr_output : string;
   sr_regs : (int * Interp.Rvalue.rv) list;
       (** the loop's result registers, when ok *)
-  sr_writes : (int * Interp.Rvalue.rv) list;
-      (** the final value of every word the shard wrote, by address, when
-          ok *)
-  sr_wr : Conflict.ranges;  (** the words the shard wrote *)
+  sr_writes : (int * Interp.Rvalue.rv array) list;
+      (** the words the shard wrote, when ok, as runs in address order:
+          each run's first address and the final values of its
+          consecutive words. A failed shard ships none: it ends the
+          round's live prefix, so no later shard is checked against its
+          writes *)
   sr_rd : Conflict.ranges;  (** the words it read before writing them *)
 }
 

@@ -2,10 +2,11 @@
    larger than the pipe buffer, clean EOF vs torn frames, a flipped byte
    caught by the checksum, a shard report at its cap) and the worker
    pool's contract — index-ordered outcomes, one completion callback per
-   task, a slow task that delays only itself, fault isolation (a killed
-   worker costs exactly its in-flight task and is respawned at once),
-   worker_init in the workers, prompt shutdown under should_stop, and the
-   watchdog. *)
+   task, a slow task that delays only itself, one fresh fork per task
+   that holds no sibling's pipes, fault isolation (a killed worker costs
+   exactly its in-flight task and is respawned at once), worker_init in
+   the workers, prompt shutdown under should_stop, the watchdog, and no
+   worker left behind however a run ends. *)
 
 module J = Util.Json
 module Ipc = Exec.Ipc
@@ -131,7 +132,8 @@ let test_ipc_flipped_byte () =
       | Ipc.Eof -> Alcotest.fail "unexpected EOF")
 
 (* The largest report a shard may send: [max_shard_writes] written words,
-   none adjacent (one range each), every value a full-width int64. *)
+   none adjacent (one one-word run each), every value a full-width int64.
+   The label reports the frame size. *)
 let test_ipc_shard_report_at_cap () =
   let cap = Parrun.Runner.default_knobs.Parrun.Runner.max_shard_writes in
   let top = (1 lsl 26) - (2 * cap) in
@@ -148,8 +150,8 @@ let test_ipc_shard_report_at_cap () =
       sr_writes =
         List.init cap (fun i ->
             ( top + (2 * i),
-              Interp.Rvalue.Vint (Int64.sub Int64.min_int (Int64.of_int i)) ));
-      sr_wr = List.init cap (fun i -> (top + (2 * i), top + (2 * i) + 1));
+              [| Interp.Rvalue.Vint (Int64.sub Int64.min_int (Int64.of_int i)) |]
+            ));
       sr_rd = [];
     }
   in
@@ -387,6 +389,34 @@ let test_pool_should_stop_returns_promptly () =
   Alcotest.(check bool) "nothing decided after an immediate stop" true
     (Array.for_all (fun o -> o = None) outcomes)
 
+(* Each of three tasks on three jobs runs in its own fork, and every fork
+   holds the same descriptors: none keeps the parent's ends of a
+   sibling's pipes (a retired worker whose task pipe a sibling still held
+   would never see EOF). *)
+let test_pool_forks_hold_no_sibling_pipes () =
+  let work _ = (Unix.getpid (), Array.length (Sys.readdir "/proc/self/fd")) in
+  let outcomes = Pool.run ~jobs:3 ~work [| (); (); () |] in
+  let got =
+    Array.map
+      (function
+        | Some (Pool.Done r) -> r | _ -> Alcotest.fail "task lost or undecided")
+      outcomes
+    |> Array.to_list
+  in
+  let pids = List.map fst got and fds = List.map snd got in
+  Alcotest.(check int) "three distinct forks" 3
+    (List.length (List.sort_uniq compare pids));
+  Alcotest.(check (list int))
+    "every fork holds the same descriptors"
+    (List.map (fun _ -> List.hd fds) fds)
+    fds
+
+(* [Pool.run] reaps every worker it forked, however the run ends. *)
+let check_no_children what =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "%s: child %d outlived Pool.run" what pid
+
 let test_detect_jobs_positive () =
   Alcotest.(check bool) "at least one core" true (Pool.detect_jobs () >= 1)
 
@@ -505,6 +535,24 @@ let test_pool_poison_streak_never_sleeps () =
     (Printf.sprintf "no respawn delay (%.2fs)" elapsed)
     true (elapsed < 2.0)
 
+let test_pool_reaps_every_worker () =
+  let tasks = Array.init 4 (fun i -> J.Int i) in
+  ignore (Pool.run ~jobs:2 ~work:(fun p -> p) tasks);
+  check_no_children "normal end";
+  ignore (Pool.run ~jobs:2 ~should_stop:(fun () -> true) ~work:(fun p -> p) tasks);
+  check_no_children "should_stop";
+  let stall payload =
+    if task_index payload = 0 then Unix.sleepf 30.0;
+    payload
+  in
+  ignore (Pool.run ~jobs:2 ~task_deadline_s:0.3 ~work:stall tasks);
+  check_no_children "watchdog kill";
+  ignore
+    (Pool.run ~jobs:2
+       ~chaos:(Chaos.explicit [ (1, Chaos.Kill_self) ])
+       ~work:(fun p -> p) tasks);
+  check_no_children "chaos Kill_self"
+
 (* ---- pool: chaos faults surface as the right outcomes ---- *)
 
 let test_pool_chaos_lethal_faults_cost_their_task () =
@@ -584,6 +632,8 @@ let () =
             test_pool_worker_init_runs_in_workers;
           Alcotest.test_case "should_stop returns promptly" `Quick
             test_pool_should_stop_returns_promptly;
+          Alcotest.test_case "one fork per task, no sibling pipes" `Quick
+            test_pool_forks_hold_no_sibling_pipes;
           Alcotest.test_case "detect_jobs" `Quick test_detect_jobs_positive;
         ] );
       ( "supervision",
@@ -601,5 +651,7 @@ let () =
             test_pool_chaos_lethal_faults_cost_their_task;
           Alcotest.test_case "chaos delay is lossless" `Quick
             test_pool_chaos_delay_is_lossless;
+          Alcotest.test_case "no worker outlives the run" `Quick
+            test_pool_reaps_every_worker;
         ] );
     ]

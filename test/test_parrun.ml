@@ -1,9 +1,9 @@
 (* Guarded parallel DOALL execution: conflict-detector edge cases, the
-   byte-identity guarantee of the commit/rollback protocol, quarantine of
-   unsound verdicts (hand-forged Proven_doall on a dependent loop), and
-   convergence under injected shard faults. The interval algebra is unit
-   tested here; the end-to-end invariants run real programs through
-   Parrun.Guard. *)
+   byte-identity guarantee of the commit/rollback protocol at two and
+   three shards, quarantine of unsound verdicts (hand-forged Proven_doall
+   on a dependent loop), and convergence under injected shard faults. The
+   mark scan and the interval algebra are unit tested here; the
+   end-to-end invariants run real programs through Parrun.Guard. *)
 
 module Conflict = Parrun.Conflict
 module Quarantine = Parrun.Quarantine
@@ -15,22 +15,60 @@ let contains = Astring_contains.contains
 
 (* ---- conflict detector unit tests ---- *)
 
-let test_normalize_coalesces () =
-  Alcotest.(check (list (pair int int)))
-    "overlapping + unsorted"
-    [ (0, 8); (10, 12) ]
-    (Conflict.normalize [ (4, 8); (0, 5); (10, 11); (11, 12) ]);
-  Alcotest.(check (list (pair int int)))
-    "empty and inverted dropped" []
-    (Conflict.normalize [ (5, 5); (9, 3) ])
+(* A mark array of [len] words with [bit] set at each of [addrs]. *)
+let marks_with len bit addrs =
+  let m = Bytes.make len '\000' in
+  List.iter
+    (fun a -> Bytes.set m a (Char.chr (Char.code (Bytes.get m a) lor bit)))
+    addrs;
+  m
 
-let test_of_sorted_addrs () =
+let test_of_marks () =
+  let m = marks_with 10 1 [ 1; 2; 3; 7 ] in
+  let runs = Conflict.of_marks m ~bit:1 in
+  Alcotest.(check (list (pair int int))) "runs coalesce" [ (1, 4); (7, 8) ] runs;
+  Alcotest.(check int) "words covered" 4
+    (List.fold_left (fun n (lo, hi) -> n + hi - lo) 0 runs);
   Alcotest.(check (list (pair int int)))
-    "runs coalesce"
-    [ (1, 4); (7, 8) ]
-    (Conflict.of_sorted_addrs [ 1; 2; 3; 7 ]);
-  Alcotest.(check int) "cardinal" 4
-    (Conflict.cardinal (Conflict.of_sorted_addrs [ 1; 2; 3; 7 ]))
+    "other bits ignored" []
+    (Conflict.of_marks m ~bit:2);
+  Alcotest.(check (list (pair int int)))
+    "first and last words"
+    [ (0, 1); (9, 10) ]
+    (Conflict.of_marks (marks_with 10 2 [ 0; 9 ]) ~bit:2)
+
+(* Each bit's scan equals the coalesced runs of the addresses carrying it,
+   on marks that mix both bits (a word read before it is written carries
+   both). Random runs of one mark value reach the first and last words. *)
+let prop_of_marks_coalesces =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 40) (pair (int_range 0 3) (int_range 1 6))
+      >|= fun runs ->
+      Bytes.of_string
+        (String.concat ""
+           (List.map (fun (v, n) -> String.make n (Char.chr v)) runs)))
+  in
+  let coalesce addrs =
+    List.fold_right
+      (fun a acc ->
+        match acc with
+        | (lo, hi) :: rest when lo = a + 1 -> (a, hi) :: rest
+        | _ -> (a, a + 1) :: acc)
+      addrs []
+  in
+  QCheck.Test.make ~name:"mark scan = coalesced addresses" ~count:300
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun marks ->
+      List.for_all
+        (fun bit ->
+          let addrs =
+            List.filter
+              (fun a -> Char.code (Bytes.get marks a) land bit <> 0)
+              (List.init (Bytes.length marks) Fun.id)
+          in
+          Conflict.of_marks marks ~bit = coalesce addrs)
+        [ 1; 2 ])
 
 let test_overlap_adjacent_disjoint () =
   (* shard boundaries touch: [0,100) vs [100,200) share no word *)
@@ -133,18 +171,18 @@ fn main() -> int {
 }
 |}
 
-let aggressive ?chaos () =
+let aggressive ?chaos ?(shards = 2) () =
   {
     Runner.default_knobs with
-    Runner.jobs = 2;
+    Runner.jobs = shards;
     min_trip = 1;
     round_chunk = 8;
     chaos;
   }
 
-let run_guard ?chaos ?quarantine ?repro_dir ~target src =
+let run_guard ?chaos ?shards ?quarantine ?repro_dir ~target src =
   match
-    Guard.run ~knobs:(aggressive ?chaos ()) ?quarantine ?repro_dir
+    Guard.run ~knobs:(aggressive ?chaos ?shards ()) ?quarantine ?repro_dir
       ~predict:false ~target src
   with
   | Error f -> Alcotest.fail ("guard failed: " ^ f.Loopa.Driver.message)
@@ -152,8 +190,8 @@ let run_guard ?chaos ?quarantine ?repro_dir ~target src =
 
 let total f rows = List.fold_left (fun acc st -> acc + f st) 0 rows
 
-let test_map_reduce_commits () =
-  let r = run_guard ~target:"map_reduce" map_reduce_src in
+let test_map_reduce_commits ~shards () =
+  let r = run_guard ~shards ~target:"map_reduce" map_reduce_src in
   Alcotest.(check bool) "byte-identical" true r.Guard.identical;
   Alcotest.(check (list string)) "no diffs" [] r.Guard.diffs;
   let stats = Runner.loop_stats r.Guard.runner in
@@ -264,8 +302,8 @@ fn main() -> int {
 
 (* Either placement commits once, without a rollback, and prints what
    serial execution prints. *)
-let run_write_order ~late =
-  let r = run_guard ~target:"cross_round" (cross_round_src late) in
+let run_write_order ~shards ~late =
+  let r = run_guard ~shards ~target:"cross_round" (cross_round_src late) in
   Alcotest.(check bool) "byte-identical" true r.Guard.identical;
   let stats = Runner.loop_stats r.Guard.runner in
   Alcotest.(check int) "one commit" 1
@@ -281,18 +319,21 @@ let run_write_order ~late =
   | _ -> Alcotest.fail "a pass trapped");
   (r, stats)
 
-(* At i = 100 the second write lands in round 3, the exit shard: the
+(* At i = 100 the second write lands in a later round than the first: in
+   round 3, the exit shard, at 2 shards; in round 2's last shard at 3. The
    rounds must commit oldest first. *)
-let test_cross_round_commit_order () =
-  let _, stats = run_write_order ~late:100 in
+let test_cross_round_commit_order ~shards () =
+  let _, stats = run_write_order ~shards ~late:100 in
   Alcotest.(check bool) "sharded over several rounds" true
     (total (fun st -> st.Runner.st_rounds) stats >= 2)
 
 (* At i = 12 both writes land in round 1, in shards 0 and 1. Their write
    sets overlap with no exposed read between them: an output dependence
-   the in-order commit resolves, not a conflict to roll back. *)
-let test_same_round_write_write_commits () =
-  let r, stats = run_write_order ~late:12 in
+   the in-order commit resolves, not a conflict to roll back. At 3 shards
+   the check also pairs shard 1's writes with shard 2's exposed reads,
+   besides shard 0's writes with shard 1's. *)
+let test_same_round_write_write_commits ~shards () =
+  let r, stats = run_write_order ~shards ~late:12 in
   Alcotest.(check int) "no conflicts" 0
     (total (fun st -> st.Runner.st_conflicts) stats);
   Alcotest.(check int) "nothing quarantined" 0
@@ -424,10 +465,8 @@ let () =
     [
       ( "conflict",
         [
-          Alcotest.test_case "normalize coalesces" `Quick
-            test_normalize_coalesces;
-          Alcotest.test_case "sorted addrs to ranges" `Quick
-            test_of_sorted_addrs;
+          Alcotest.test_case "mark scan to ranges" `Quick test_of_marks;
+          QCheck_alcotest.to_alcotest prop_of_marks_coalesces;
           Alcotest.test_case "adjacent-disjoint no overlap" `Quick
             test_overlap_adjacent_disjoint;
           Alcotest.test_case "aliased bases write/write" `Quick
@@ -445,15 +484,23 @@ let () =
       ( "guarded",
         [
           Alcotest.test_case "map+reduce commits, byte-identical" `Quick
-            test_map_reduce_commits;
+            (test_map_reduce_commits ~shards:2);
+          Alcotest.test_case "3 shards: map+reduce commits" `Quick
+            (test_map_reduce_commits ~shards:3);
           Alcotest.test_case "reductions commit, no conflicts" `Quick
             test_reduction_commits_not_conflicts;
           Alcotest.test_case "forward gather (anti-dep) commits" `Quick
             test_forward_gather_commits;
           Alcotest.test_case "cross-round writes commit in round order"
-            `Quick test_cross_round_commit_order;
+            `Quick
+            (test_cross_round_commit_order ~shards:2);
+          Alcotest.test_case "3 shards: cross-round round order" `Quick
+            (test_cross_round_commit_order ~shards:3);
           Alcotest.test_case "same-round writes commit in shard order"
-            `Quick test_same_round_write_write_commits;
+            `Quick
+            (test_same_round_write_write_commits ~shards:2);
+          Alcotest.test_case "3 shards: same-round shard order" `Quick
+            (test_same_round_write_write_commits ~shards:3);
           Alcotest.test_case "forced unsound verdict quarantined" `Quick
             test_forced_unsound_verdict_quarantines;
         ] );
