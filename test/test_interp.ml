@@ -509,6 +509,62 @@ let test_alloc_per_instruction () =
   if per_instr > 4.0 then
     Alcotest.failf "%.2f words allocated per instruction, ceiling 4" per_instr
 
+(* What the engine computes for one registered program, run unhooked at
+   the machine's default budgets with opcode counts on: how the run
+   stopped, its clock and return value, an MD5 of its output, the heap
+   high-water mark, the executed and reported word accesses and the opcode
+   partition. *)
+let engine_digest (bm : Suites.Suite.benchmark) : Util.Json.t =
+  let m = Frontend.compile_exn bm.Suites.Suite.source in
+  Cfg.Loop_simplify.run_module m;
+  let machine = Interp.Machine.create m in
+  Interp.Machine.enable_opcode_counts machine;
+  let out = Interp.Machine.run_main machine in
+  let int n = Util.Json.Int n in
+  Util.Json.Obj
+    [
+      ("stop", Util.Json.String (Interp.Machine.stop_reason_to_string out.Interp.Machine.stop));
+      ("clock", int out.Interp.Machine.clock);
+      ( "ret",
+        Util.Json.String
+          (match out.Interp.Machine.ret with Some v -> rv_to_string v | None -> "none") );
+      ("output_md5", Util.Json.String (Digest.to_hex (Digest.string out.Interp.Machine.output)));
+      ("mem_words", int out.Interp.Machine.mem_words);
+      ("mem_accesses", int out.Interp.Machine.mem_accesses);
+      ("mem_events", int out.Interp.Machine.mem_events);
+      ( "opcodes",
+        Util.Json.Obj
+          (List.map (fun (op, n) -> (op, int n)) (Interp.Machine.opcode_counts machine)) );
+    ]
+
+(* Every registered program's engine digest must match
+   [golden/engine_digests.json], one line per program, so an engine
+   rewrite proves itself byte-equal to its predecessor. On a mismatch the
+   fresh digests are written next to the test binary. *)
+let test_engine_digests () =
+  let programs = Suites.Suite.all () in
+  let b = Buffer.create 16384 in
+  Buffer.add_string b "{\n";
+  List.iteri
+    (fun i (bm : Suites.Suite.benchmark) ->
+      Printf.bprintf b "  %s: %s%s\n"
+        (Util.Json.to_string (Util.Json.String bm.Suites.Suite.name))
+        (Util.Json.to_string (engine_digest bm))
+        (if i + 1 < List.length programs then "," else ""))
+    programs;
+  Buffer.add_string b "}\n";
+  let actual = Buffer.contents b in
+  let golden_path = "golden/engine_digests.json" in
+  let golden = In_channel.with_open_bin golden_path In_channel.input_all in
+  if actual <> golden then begin
+    let actual_path = "engine_digests.actual.json" in
+    Out_channel.with_open_bin actual_path (fun oc -> output_string oc actual);
+    let lines s = String.split_on_char '\n' s in
+    let changed = List.filter (fun l -> not (List.mem l (lines golden))) (lines actual) in
+    Alcotest.failf "engine digests differ from %s (fresh copy: %s/%s):\n%s" golden_path
+      (Sys.getcwd ()) actual_path (String.concat "\n" changed)
+  end
+
 let () =
   Alcotest.run "interp"
     [
@@ -562,5 +618,6 @@ let () =
           Alcotest.test_case "malformed IR taken" `Quick test_malformed_taken;
           Alcotest.test_case "allocation per instruction" `Quick
             test_alloc_per_instruction;
+          Alcotest.test_case "engine digests match golden" `Quick test_engine_digests;
         ] );
     ]
