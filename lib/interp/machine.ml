@@ -4,14 +4,21 @@
    and reporting instrumentation events through Events.hooks.
 
    Each function is compiled once per machine, in [create], into closures
-   over [rv array] frames: per block, the phis as (predecessor, operand)
+   over a typed register slab: per block, the phis as (predecessor, slot)
    tables, the body as an array of per-instruction closures and the
-   terminator as a closure returning the next block. Operands, call
-   targets and builtins are resolved at compile time, and hook calls exist
-   only where the watch plan marks an instruction. Compilation never
-   raises: malformed IR (an unknown callee or global, a builtin called with
-   the wrong arity, a block without a terminator) compiles to a closure
-   that raises the interpreter error when, and only if, it executes.
+   terminator as a closure returning the next block. An activation's slab
+   is one [Bytes] with 8 bytes per slot: the instruction results, then the
+   parameters, a return slot and the function's constants. An i64 is stored
+   as itself, an f64 as its bit pattern and an i1 as 0 or 1; each closure is
+   compiled for its own opcode and operand types, so it reads and writes
+   slots without boxing. A value is boxed only where it leaves the engine:
+   hook and builtin arguments, the delegate boundary, raw word access,
+   commits and the return value of main. Operands, call targets and
+   builtins are resolved at compile time, and hook calls exist only where
+   the watch plan marks an instruction. Compilation never raises: malformed
+   IR (an unknown callee or global, a builtin called with the wrong arity, a
+   block without a terminator) compiles to a closure that raises the
+   interpreter error when, and only if, it executes.
 
    Deviation from the paper noted in DESIGN.md: the paper accumulates
    hard-coded per-basic-block counts; we tick per instruction, which yields
@@ -21,58 +28,51 @@
 
 open Rvalue
 
-(* One live activation: its registers, its arguments, the loop invocations
-   it has open (innermost first) and, after a return, the returned value.
+(* One live activation: its function, its slab, the loop invocations it
+   has open (innermost first) and whether a return wrote the return slot.
    Whole-function execution ([exec_func]) and the guarded runner's
    iteration-range entry ([run_loop_range]) run the same compiled blocks
    against a frame. *)
 type frame = {
-  regs : rv array;
-  args : rv array;
+  plan : func_plan;
+  slab : Bytes.t;
   mutable loops : int list;
-  mutable ret : rv option;
+  mutable returned : bool;
 }
 
-(* An operand resolved at compile time: a register, an argument, a constant
-   (a global's address included) or the error an unknown global raises. *)
-type src = Reg of int | Arg of int | Imm of rv | Bad of string
-
-let[@inline] read (fr : frame) = function
-  | Reg id -> fr.regs.(id)
-  | Arg i -> fr.args.(i)
-  | Imm v -> v
-  | Bad msg -> raise (Runtime_error msg)
-
-let[@inline] ival fr s = as_int (read fr s)
-
-let[@inline] fval fr s = as_float (read fr s)
-
-(* A block's phi: the incoming (predecessor, operand) table and the hooks
-   the watch plan marks on it. *)
-type phi = {
+(* A block's phi: the incoming (predecessor, slot) table and the hooks the
+   watch plan marks on it. Slots are byte offsets into the slab. *)
+and phi = {
   phi_id : int;
+  phi_ty : Ir.Types.ty;
   preds : int array;
-  srcs : src array;
+  srcs : int array; (* -1: an unknown global, raising [errs.(i)] *)
+  errs : string array;
   on_def : bool;
   uses : int list; (* watched phis this phi reads *)
   on_value : bool; (* a watched header phi: report its value *)
 }
 
-type block = {
+and block = {
   phis : phi array;
-  staged : rv array; (* one arrival's phi values, written back together *)
+  staged : Bytes.t; (* one arrival's phi values, written back together *)
   opcs : int array; (* opcode of each body instruction *)
   body : (frame -> unit) array;
   term_opc : int; (* -1 when the block has no terminator to tick *)
   term : frame -> int; (* the next block, or -1 after a return *)
 }
 
-type func_plan = {
+and func_plan = {
   fn : Ir.Func.t;
   fname : string;
   li : Cfg.Loopinfo.t;
   watch : Events.watch_plan;
-  nregs : int;
+  nparams : int;
+  param_base : int; (* slot of parameter 0; instruction [id]'s slot is [id] *)
+  ret_off : int; (* byte offset of the return slot *)
+  const_base : int; (* slot of the first constant *)
+  consts : (int64, int) Hashtbl.t; (* constant bits -> byte offset *)
+  mutable template : Bytes.t; (* a fresh slab: zeros, constants filled *)
   in_loop : bool array array; (* lid -> block -> inside the loop *)
   wants_mem : bool array; (* lid -> the plan kept its memory-event stream *)
   mutable blocks : block array; (* filled once every plan exists *)
@@ -91,15 +91,14 @@ type fault_plan = (int * fault) list
 
 (* A fresh arrival at a loop header from outside the loop, offered to the
    delegate (the guarded parallel runner) before the machine executes the
-   loop itself. The register and argument arrays are the live frame state:
-   a delegate that declines must leave them untouched. *)
+   loop itself. The frame is the live activation: a delegate that declines
+   must leave it untouched. *)
 type loop_entry = {
   le_fname : string;
   le_lid : int;
   le_header : int;
   le_pred : int;
-  le_regs : Rvalue.rv array;
-  le_args : Rvalue.rv array;
+  le_frame : frame;
 }
 
 (* The whole-loop effect a delegate commits in place of serial execution:
@@ -176,6 +175,68 @@ type outcome = {
   mem_accesses : int;
   mem_events : int;
 }
+
+(* ---- slots and memory words ----
+
+   Defined here rather than in Rvalue: without cross-module inlining an
+   int64 passed to or returned from another compilation unit is boxed. *)
+
+let[@inline] get s o = Bytes.get_int64_le s o
+
+let[@inline] set s o x = Bytes.set_int64_le s o x
+
+let[@inline] getf s o = Int64.float_of_bits (Bytes.get_int64_le s o)
+
+let[@inline] setf s o x = Bytes.set_int64_le s o (Int64.bits_of_float x)
+
+let[@inline] of_bool c = if c then 1L else 0L
+
+let box (ty : Ir.Types.ty) bits : rv =
+  match ty with
+  | Ir.Types.I64 -> Vint bits
+  | Ir.Types.F64 -> Vfloat (Int64.float_of_bits bits)
+  | Ir.Types.I1 -> Vbool (bits <> 0L)
+
+(* A guest word as a host int, for addresses, allocation sizes and the
+   arrcopy/arrfill words. Int64.to_int drops bit 63, which would alias a
+   word near Int64.min_int onto a small address. A word outside the host
+   range saturates instead: every address check rejects min_int and
+   max_int, alloc refuses them (negative, or over the heap budget) and
+   arrcopy/arrfill read them as an empty or an unbounded count. *)
+let[@inline] host_word (x : int64) =
+  if x > 4611686018427387903L then max_int
+  else if x < -4611686018427387904L then min_int
+  else Int64.to_int x
+
+(* The payload of word [a], bounds-checked. *)
+let[@inline] word_bits (mem : memory) a =
+  if a <= 0 || a >= mem.brk then out_of_bounds a;
+  Bytes.get_int64_le mem.data (a lsl 3)
+
+let wrong_tag mem a what = error "expected %s, got %s" what (rv_to_string (load mem a))
+
+(* Typed loads check the word's tag. A never-written word (the int 0)
+   reads as 0.0 through a float load: its payload is +0.0's bit pattern. *)
+let[@inline] load_int (mem : memory) a =
+  let bits = word_bits mem a in
+  if Bytes.unsafe_get mem.tags a <> tag_int then wrong_tag mem a "an int";
+  bits
+
+let[@inline] load_float (mem : memory) a =
+  let bits = word_bits mem a in
+  let tag = Bytes.unsafe_get mem.tags a in
+  if tag <> tag_float && (tag <> tag_int || bits <> 0L) then wrong_tag mem a "a float";
+  bits
+
+let[@inline] load_bool (mem : memory) a =
+  let bits = word_bits mem a in
+  if Bytes.unsafe_get mem.tags a <> tag_bool then wrong_tag mem a "a bool";
+  bits
+
+let[@inline] store_word (mem : memory) a tag bits =
+  if a <= 0 || a >= mem.brk then out_of_bounds a;
+  Bytes.unsafe_set mem.tags a tag;
+  Bytes.set_int64_le mem.data (a lsl 3) bits
 
 (* ---- the clock ---- *)
 
@@ -304,17 +365,57 @@ let output_length (t : t) = Buffer.length t.out
 
 let output_since (t : t) pos = Buffer.sub t.out pos (Buffer.length t.out - pos)
 
-(* Evaluate an instruction operand against an explicit frame (the guarded
+(* ---- operands ---- *)
+
+let ty_of (p : func_plan) v =
+  match Ir.Func.value_ty p.fn v with Some ty -> ty | None -> Ir.Types.I64
+
+let const_bits = function
+  | Ir.Types.Cint i -> i
+  | Ir.Types.Cfloat f -> Int64.bits_of_float f
+  | Ir.Types.Cbool b -> of_bool b
+
+(* The byte offset of a register or parameter slot. *)
+let reg_off (p : func_plan) (v : Ir.Types.value) =
+  match v with
+  | Ir.Types.Param i when i < 0 || i >= p.nparams ->
+      error "no parameter %d in @%s" i p.fname
+  | Ir.Types.Param i -> 8 * (p.param_base + i)
+  | Ir.Types.Reg id -> 8 * id
+  | Ir.Types.Const _ | Ir.Types.Global _ -> invalid_arg "Machine.reg_off"
+
+(* The byte offset of an operand's slot, at compile time: constants (a
+   global's address included) get one slot per distinct bit pattern. An
+   unknown global raises its Runtime_error here; the instruction then
+   compiles to a raiser with that text. *)
+let off (t : t) (p : func_plan) (v : Ir.Types.value) =
+  let const bits =
+    match Hashtbl.find_opt p.consts bits with
+    | Some o -> o
+    | None ->
+        let o = 8 * (p.const_base + Hashtbl.length p.consts) in
+        Hashtbl.add p.consts bits o;
+        o
+  in
+  match v with
+  | Ir.Types.Reg _ | Ir.Types.Param _ -> reg_off p v
+  | Ir.Types.Const c -> const (const_bits c)
+  | Ir.Types.Global g -> const (Int64.of_int (Rvalue.global_addr t.mem g))
+
+(* Evaluate an instruction operand against a live frame (the guarded
    runner resolves loop-entry values and symbolic trip bounds this way). *)
-let eval_operand (t : t) ~(regs : rv array) ~(args : rv array)
-    (v : Ir.Types.value) : rv =
+let eval_operand (t : t) (fr : frame) (v : Ir.Types.value) : rv =
   match v with
   | Ir.Types.Const (Ir.Types.Cint i) -> Vint i
   | Ir.Types.Const (Ir.Types.Cfloat f) -> Vfloat f
   | Ir.Types.Const (Ir.Types.Cbool b) -> Vbool b
-  | Ir.Types.Reg id -> regs.(id)
-  | Ir.Types.Param i -> args.(i)
   | Ir.Types.Global g -> Vint (Int64.of_int (Rvalue.global_addr t.mem g))
+  | Ir.Types.Reg _ | Ir.Types.Param _ ->
+      box (ty_of fr.plan v) (get fr.slab (reg_off fr.plan v))
+
+let frame_reg (fr : frame) id = box (ty_of fr.plan (Ir.Types.Reg id)) (get fr.slab (8 * id))
+
+let copy_frame (fr : frame) = { fr with slab = Bytes.copy fr.slab; loops = [] }
 
 let plan t fname =
   match Hashtbl.find_opt t.plans fname with
@@ -332,7 +433,8 @@ let mem_access (t : t) ~addr ~is_write =
     t.hooks.Events.on_mem_access ~addr ~is_write ~clock:t.clock
   end
 
-(* ---- scalar operations ---- *)
+(* ---- scalar operations (tests and the constant folder; the engine
+   compiles one closure per operation instead) ---- *)
 
 let exec_ibinop op a b =
   let open Ir.Instr in
@@ -390,10 +492,6 @@ let exec_fcmp op a b =
   | Fgt -> a > b
   | Fge -> a >= b
 
-let vtrue = Vbool true
-
-let vfalse = Vbool false
-
 (* ---- loop events ---- *)
 
 (* [t.mem_watchers] counts the open loops whose plan kept the memory-event
@@ -448,32 +546,32 @@ let rec notify_uses t = function
    by phi id — the guarded runner starts a shard mid-iteration-space by
    seeding the header phis of its first arrival. *)
 let run_phis t (p : func_plan) (fr : frame) (blk : block) ~pred ~seed =
-  let phis = blk.phis and staged = blk.staged in
+  let phis = blk.phis and staged = blk.staged and s = fr.slab in
   for k = 0 to Array.length phis - 1 do
     let ph = phis.(k) in
     retire t opc_phi;
     if ph.on_def then t.hooks.Events.on_watched_def ~instr_id:ph.phi_id ~clock:t.clock;
     notify_uses t ph.uses;
-    let seeded = match seed with [] -> None | _ -> List.assoc_opt ph.phi_id seed in
-    let v =
-      match seeded with
-      | Some v -> v
-      | None ->
-          let i = ref (Array.length ph.preds - 1) in
-          while !i >= 0 && ph.preds.(!i) <> pred do
-            decr i
-          done;
-          if !i < 0 then
-            error "phi %%%d in @%s has no entry for predecessor bb%d" ph.phi_id
-              p.fname pred;
-          read fr ph.srcs.(!i)
-    in
+    (match (match seed with [] -> None | _ -> List.assoc_opt ph.phi_id seed) with
+    | Some v -> set staged (8 * k) (Rvalue.bits_of v)
+    | None ->
+        let i = ref (Array.length ph.preds - 1) in
+        while !i >= 0 && ph.preds.(!i) <> pred do
+          decr i
+        done;
+        if !i < 0 then
+          error "phi %%%d in @%s has no entry for predecessor bb%d" ph.phi_id p.fname
+            pred;
+        let src = ph.srcs.(!i) in
+        if src < 0 then raise (Runtime_error ph.errs.(!i));
+        set staged (8 * k) (get s src));
     if ph.on_value then
-      t.hooks.Events.on_header_phi ~phi_id:ph.phi_id ~value:v ~clock:t.clock;
-    staged.(k) <- v
+      t.hooks.Events.on_header_phi ~phi_id:ph.phi_id
+        ~value:(box ph.phi_ty (get staged (8 * k)))
+        ~clock:t.clock
   done;
   for k = 0 to Array.length phis - 1 do
-    fr.regs.(phis.(k).phi_id) <- staged.(k)
+    set s (8 * phis.(k).phi_id) (get staged (8 * k))
   done
 
 (* Phis, body and terminator of one block; the next block, or -1 after a
@@ -504,8 +602,7 @@ let delegated t p fr ~from_ b =
             le_lid = lid;
             le_header = b;
             le_pred = from_;
-            le_regs = fr.regs;
-            le_args = fr.args;
+            le_frame = fr;
           }
       else None
   | _ -> None
@@ -514,14 +611,14 @@ let delegated t p fr ~from_ b =
    pre-checks remaining fuel, so the guard here only defends the budget
    invariant (a commit must never push the clock past the fuel). The lump
    moves the next sample with it: samples keep counting ticks. *)
-let apply_commit t (c : loop_commit) (regs : rv array) =
+let apply_commit t (c : loop_commit) (fr : frame) =
   if c.lc_clock > t.fuel - t.clock then raise (Budget_stop Fuel);
   t.clock <- t.clock + c.lc_clock;
   t.next_sample <- t.next_sample + c.lc_clock;
   set_next_event t;
   if Array.length t.opcounts <> 0 then
     t.opcounts.(opc_committed) <- t.opcounts.(opc_committed) + c.lc_clock;
-  List.iter (fun (id, v) -> regs.(id) <- v) c.lc_regs;
+  List.iter (fun (id, v) -> set fr.slab (8 * id) (Rvalue.bits_of v)) c.lc_regs;
   List.iter
     (fun (addr, vs) -> Array.iteri (fun k v -> Rvalue.store t.mem (addr + k) v) vs)
     c.lc_writes;
@@ -529,13 +626,16 @@ let apply_commit t (c : loop_commit) (regs : rv array) =
   t.mem_events <- t.mem_events + c.lc_accesses;
   Buffer.add_string t.out c.lc_output
 
-let exec_func t (p : func_plan) (args : rv array) : rv option =
+(* Run one activation of [p] over [slab], a copy of its template with the
+   arguments in the parameter slots; true when a return wrote the return
+   slot. *)
+let exec_func t (p : func_plan) (slab : Bytes.t) : bool =
   (* Checked before the frame opens: no enter event has fired yet, so the
      unwinding caller frames are the only ones that need closing. *)
   if t.depth >= t.max_depth then raise (Budget_stop Call_depth);
   t.depth <- t.depth + 1;
   t.hooks.Events.on_call_enter ~fname:p.fname ~clock:t.clock;
-  let fr = { regs = Array.make p.nregs (Vint 0L); args; loops = []; ret = None } in
+  let fr = { plan = p; slab; loops = []; returned = false } in
   let cur = ref p.fn.Ir.Func.entry in
   let from_ = ref (-1) in
   (try
@@ -543,7 +643,7 @@ let exec_func t (p : func_plan) (args : rv array) : rv option =
        let b = !cur in
        match delegated t p fr ~from_:!from_ b with
        | Some c ->
-           apply_commit t c fr.regs;
+           apply_commit t c fr;
            from_ := c.lc_exit_pred;
            cur := c.lc_exit_target
        | None ->
@@ -563,20 +663,11 @@ let exec_func t (p : func_plan) (args : rv array) : rv option =
      raise stop);
   t.hooks.Events.on_call_exit ~fname:p.fname ~clock:t.clock;
   t.depth <- t.depth - 1;
-  fr.ret
+  fr.returned
 
 (* ---- compilation ---- *)
 
 let raiser msg _ = raise (Runtime_error msg)
-
-let operand t (v : Ir.Types.value) : src =
-  match v with
-  | Ir.Types.Reg id -> Reg id
-  | Ir.Types.Param i -> Arg i
-  | Ir.Types.Const _ | Ir.Types.Global _ -> (
-      match eval_operand t ~regs:[||] ~args:[||] v with
-      | c -> Imm c
-      | exception Runtime_error msg -> Bad msg)
 
 let lcg_next s = Int64.add (Int64.mul s 6364136223846793005L) 1442695040888963407L
 
@@ -584,7 +675,7 @@ let lcg_next s = Int64.add (Int64.mul s 6364136223846793005L) 144269504088896340
    once, at compile time. *)
 let builtin_effect t name arity : rv array -> rv option =
   let float1 f a = Some (Vfloat (f (as_float a.(0)))) in
-  let word v = Int64.to_int (as_int v) in
+  let word v = host_word (as_int v) in
   match (name, arity) with
   | "print_int", 1 ->
       fun a ->
@@ -598,7 +689,7 @@ let builtin_effect t name arity : rv array -> rv option =
         None
   | "print_char", 1 ->
       fun a ->
-        Buffer.add_char t.out (Char.chr (word a.(0) land 0xff));
+        Buffer.add_char t.out (Char.chr (Int64.to_int (as_int a.(0)) land 0xff));
         None
   | "rand", 0 ->
       fun _ ->
@@ -617,22 +708,22 @@ let builtin_effect t name arity : rv array -> rv option =
   | "arrcopy", 3 ->
       fun a ->
         let dst = word a.(0) and src = word a.(1) and n = word a.(2) in
-        for i = 0 to n - 1 do
+        for i = 0 to max n 0 - 1 do
           retire t opc_builtin;
           mem_access t ~addr:(src + i) ~is_write:false;
           mem_access t ~addr:(dst + i) ~is_write:true;
-          Rvalue.store t.mem (dst + i) (Rvalue.load t.mem (src + i))
+          Rvalue.copy_word t.mem ~src:(src + i) ~dst:(dst + i)
         done;
-        Some (Vint (Int64.of_int n))
+        Some a.(2)
   | "arrfill", 3 ->
       fun a ->
         let dst = word a.(0) and n = word a.(2) in
-        for i = 0 to n - 1 do
+        for i = 0 to max n 0 - 1 do
           retire t opc_builtin;
           mem_access t ~addr:(dst + i) ~is_write:true;
           Rvalue.store t.mem (dst + i) a.(1)
         done;
-        Some (Vint (Int64.of_int n))
+        Some a.(2)
   | _ -> fun _ -> error "bad builtin call %s/%d" name arity
 
 (* A builtin call: the call event, then the effect. The declared memory
@@ -655,101 +746,188 @@ let builtin t name arity : rv array -> rv option =
         (t.mem_accesses - before);
     result
 
-(* A call instruction: the arguments left to right, then the callee bound
-   at compile time — a builtin, a user function's plan, or the
-   undefined-callee error. *)
-let compile_call t id ~has_value callee cargs : frame -> unit =
-  let srcs = Array.of_list (List.map (operand t) cargs) in
-  let callee_fn : rv array -> rv option =
-    if Ir.Builtins.is_builtin callee then builtin t callee (Array.length srcs)
-    else
-      match Hashtbl.find_opt t.plans callee with
-      | Some cp -> exec_func t cp
-      | None -> fun _ -> error "call to undefined function @%s" callee
-  in
-  let call fr =
-    let args = Array.make (Array.length srcs) (Vint 0L) in
-    for i = 0 to Array.length srcs - 1 do
-      args.(i) <- read fr srcs.(i)
-    done;
-    callee_fn args
-  in
-  if has_value then fun fr ->
-    match call fr with
-    | Some v -> fr.regs.(id) <- v
-    | None -> error "void result from @%s used as a value" callee
-  else fun fr -> ignore (call fr)
+(* A call instruction, its callee bound at compile time. A builtin gets its
+   arguments boxed by their IR types. A user function gets a fresh slab,
+   the arguments copied slot to slot into its parameter slots, and its
+   return slot copied into the result. *)
+let compile_call t (p : func_plan) id ~has_value callee cargs : frame -> unit =
+  let d = 8 * id in
+  let void () = error "void result from @%s used as a value" callee in
+  if Ir.Builtins.is_builtin callee then begin
+    let tys = Array.of_list (List.map (ty_of p) cargs) in
+    let srcs = Array.of_list (List.map (off t p) cargs) in
+    let f = builtin t callee (Array.length srcs) in
+    fun fr ->
+      let s = fr.slab in
+      match f (Array.mapi (fun k o -> box tys.(k) (get s o)) srcs) with
+      | Some v -> if has_value then set s d (Rvalue.bits_of v)
+      | None -> if has_value then void ()
+  end
+  else
+    match Hashtbl.find_opt t.plans callee with
+    | None -> fun _ -> error "call to undefined function @%s" callee
+    | Some cp ->
+        let srcs = Array.of_list (List.map (off t p) cargs) in
+        let n = min (Array.length srcs) cp.nparams and base = 8 * cp.param_base in
+        fun fr ->
+          let s = fr.slab in
+          let callee_slab = Bytes.copy cp.template in
+          for k = 0 to n - 1 do
+            set callee_slab (base + (8 * k)) (get s (Array.unsafe_get srcs k))
+          done;
+          if exec_func t cp callee_slab then begin
+            if has_value then set s d (get callee_slab cp.ret_off)
+          end
+          else if has_value then void ()
 
-let compile_instr t id (kind : Ir.Instr.kind) ~has_value : frame -> unit =
+let compile_ibinop (op : Ir.Instr.ibinop) a b d : frame -> unit =
   let open Ir.Instr in
-  let get = operand t in
-  match kind with
-  | Ibinop (op, a, b) -> (
-      let a = get a and b = get b in
-      match op with
-      | Add -> fun fr -> fr.regs.(id) <- Vint (Int64.add (ival fr a) (ival fr b))
-      | Sub -> fun fr -> fr.regs.(id) <- Vint (Int64.sub (ival fr a) (ival fr b))
-      | Mul -> fun fr -> fr.regs.(id) <- Vint (Int64.mul (ival fr a) (ival fr b))
-      | _ -> fun fr -> fr.regs.(id) <- Vint (exec_ibinop op (ival fr a) (ival fr b)))
+  match op with
+  | Add -> fun fr -> set fr.slab d (Int64.add (get fr.slab a) (get fr.slab b))
+  | Sub -> fun fr -> set fr.slab d (Int64.sub (get fr.slab a) (get fr.slab b))
+  | Mul -> fun fr -> set fr.slab d (Int64.mul (get fr.slab a) (get fr.slab b))
+  | Sdiv ->
+      fun fr ->
+        let s = fr.slab in
+        let y = get s b in
+        if y = 0L then trap Div_by_zero "division by zero";
+        set s d (if y = -1L then Int64.neg (get s a) else Int64.div (get s a) y)
+  | Srem ->
+      fun fr ->
+        let s = fr.slab in
+        let y = get s b in
+        if y = 0L then trap Div_by_zero "remainder by zero";
+        set s d (if y = -1L then 0L else Int64.rem (get s a) y)
+  | And -> fun fr -> set fr.slab d (Int64.logand (get fr.slab a) (get fr.slab b))
+  | Or -> fun fr -> set fr.slab d (Int64.logor (get fr.slab a) (get fr.slab b))
+  | Xor -> fun fr -> set fr.slab d (Int64.logxor (get fr.slab a) (get fr.slab b))
+  | Shl ->
+      fun fr ->
+        let s = fr.slab in
+        set s d (Int64.shift_left (get s a) (Int64.to_int (get s b) land 63))
+  | Ashr ->
+      fun fr ->
+        let s = fr.slab in
+        set s d (Int64.shift_right (get s a) (Int64.to_int (get s b) land 63))
+  | Lshr ->
+      fun fr ->
+        let s = fr.slab in
+        set s d (Int64.shift_right_logical (get s a) (Int64.to_int (get s b) land 63))
+
+(* i64 and i1 operands alike: an i1 is 0 or 1, so false orders before
+   true, as in [exec_icmp]. *)
+let compile_icmp (op : Ir.Instr.icmp) a b d : frame -> unit =
+  let open Ir.Instr in
+  match op with
+  | Ieq -> fun fr -> set fr.slab d (of_bool (get fr.slab a = get fr.slab b))
+  | Ine -> fun fr -> set fr.slab d (of_bool (get fr.slab a <> get fr.slab b))
+  | Islt -> fun fr -> set fr.slab d (of_bool (get fr.slab a < get fr.slab b))
+  | Isle -> fun fr -> set fr.slab d (of_bool (get fr.slab a <= get fr.slab b))
+  | Isgt -> fun fr -> set fr.slab d (of_bool (get fr.slab a > get fr.slab b))
+  | Isge -> fun fr -> set fr.slab d (of_bool (get fr.slab a >= get fr.slab b))
+
+let compile_fcmp (op : Ir.Instr.fcmp) a b d : frame -> unit =
+  let open Ir.Instr in
+  match op with
+  | Feq -> fun fr -> set fr.slab d (of_bool (getf fr.slab a = getf fr.slab b))
+  | Fne -> fun fr -> set fr.slab d (of_bool (getf fr.slab a <> getf fr.slab b))
+  | Flt -> fun fr -> set fr.slab d (of_bool (getf fr.slab a < getf fr.slab b))
+  | Fle -> fun fr -> set fr.slab d (of_bool (getf fr.slab a <= getf fr.slab b))
+  | Fgt -> fun fr -> set fr.slab d (of_bool (getf fr.slab a > getf fr.slab b))
+  | Fge -> fun fr -> set fr.slab d (of_bool (getf fr.slab a >= getf fr.slab b))
+
+let compile_instr t (p : func_plan) id (ins : Ir.Instr.t) : frame -> unit =
+  let open Ir.Instr in
+  let o = off t p and d = 8 * id and mem = t.mem in
+  match ins.kind with
+  | Ibinop (op, a, b) -> compile_ibinop op (o a) (o b) d
   | Fbinop (op, a, b) -> (
-      let a = get a and b = get b in
+      let a = o a and b = o b in
       match op with
-      | Fadd -> fun fr -> fr.regs.(id) <- Vfloat (fval fr a +. fval fr b)
-      | Fsub -> fun fr -> fr.regs.(id) <- Vfloat (fval fr a -. fval fr b)
-      | Fmul -> fun fr -> fr.regs.(id) <- Vfloat (fval fr a *. fval fr b)
-      | Fdiv -> fun fr -> fr.regs.(id) <- Vfloat (fval fr a /. fval fr b))
-  | Icmp (op, a, b) ->
-      let a = get a and b = get b in
-      fun fr ->
-        fr.regs.(id) <- (if exec_icmp op (read fr a) (read fr b) then vtrue else vfalse)
-  | Fcmp (op, a, b) ->
-      let a = get a and b = get b in
-      fun fr ->
-        fr.regs.(id) <- (if exec_fcmp op (fval fr a) (fval fr b) then vtrue else vfalse)
+      | Fadd -> fun fr -> setf fr.slab d (getf fr.slab a +. getf fr.slab b)
+      | Fsub -> fun fr -> setf fr.slab d (getf fr.slab a -. getf fr.slab b)
+      | Fmul -> fun fr -> setf fr.slab d (getf fr.slab a *. getf fr.slab b)
+      | Fdiv -> fun fr -> setf fr.slab d (getf fr.slab a /. getf fr.slab b))
+  | Icmp (op, a, b) -> (
+      match (ty_of p a, ty_of p b) with
+      | Ir.Types.I64, Ir.Types.I64 | Ir.Types.I1, Ir.Types.I1 ->
+          compile_icmp op (o a) (o b) d
+      | ta, tb ->
+          let a = o a and b = o b in
+          fun fr ->
+            error "icmp on mixed types (%s, %s)"
+              (rv_to_string (box ta (get fr.slab a)))
+              (rv_to_string (box tb (get fr.slab b))))
+  | Fcmp (op, a, b) -> compile_fcmp op (o a) (o b) d
   | Select (c, x, y) ->
-      let c = get c and x = get x and y = get y in
-      fun fr -> fr.regs.(id) <- (if as_bool (read fr c) then read fr x else read fr y)
+      let c = o c and x = o x and y = o y in
+      fun fr ->
+        let s = fr.slab in
+        set s d (if get s c <> 0L then get s x else get s y)
   | Si_to_fp x ->
-      let x = get x in
-      fun fr -> fr.regs.(id) <- Vfloat (Int64.to_float (ival fr x))
+      let x = o x in
+      fun fr -> setf fr.slab d (Int64.to_float (get fr.slab x))
   | Fp_to_si x ->
-      let x = get x in
-      fun fr -> fr.regs.(id) <- Vint (Int64.of_float (fval fr x))
-  | Load a ->
-      let a = get a in
-      fun fr ->
-        let addr = Int64.to_int (ival fr a) in
-        mem_access t ~addr ~is_write:false;
-        fr.regs.(id) <- Rvalue.load t.mem addr
+      let x = o x in
+      fun fr -> set fr.slab d (Int64.of_float (getf fr.slab x))
+  | Load a -> (
+      let a = o a in
+      match ins.ty with
+      | Some Ir.Types.F64 ->
+          fun fr ->
+            let addr = host_word (get fr.slab a) in
+            mem_access t ~addr ~is_write:false;
+            set fr.slab d (load_float mem addr)
+      | Some Ir.Types.I1 ->
+          fun fr ->
+            let addr = host_word (get fr.slab a) in
+            mem_access t ~addr ~is_write:false;
+            set fr.slab d (load_bool mem addr)
+      | Some Ir.Types.I64 | None ->
+          fun fr ->
+            let addr = host_word (get fr.slab a) in
+            mem_access t ~addr ~is_write:false;
+            set fr.slab d (load_int mem addr))
   | Store (a, v) ->
-      let a = get a and v = get v in
+      (* the word's tag is the stored operand's IR type *)
+      let tag =
+        match ty_of p v with
+        | Ir.Types.I64 -> tag_int
+        | Ir.Types.F64 -> tag_float
+        | Ir.Types.I1 -> tag_bool
+      in
+      let a = o a and v = o v in
       fun fr ->
-        let addr = Int64.to_int (ival fr a) in
-        let v = read fr v in
+        let addr = host_word (get fr.slab a) in
         mem_access t ~addr ~is_write:true;
-        Rvalue.store t.mem addr v
+        store_word mem addr tag (get fr.slab v)
   | Alloc n ->
-      let n = get n in
+      let n = o n in
       fun fr ->
-        let size = Int64.to_int (ival fr n) in
-        fr.regs.(id) <- Vint (Int64.of_int (Rvalue.alloc t.mem size))
-  | Call (callee, cargs) -> compile_call t id ~has_value callee cargs
+        set fr.slab d (Int64.of_int (Rvalue.alloc mem (host_word (get fr.slab n))))
+  | Call (callee, cargs) ->
+      compile_call t p id ~has_value:(ins.ty <> None) callee cargs
   (* phis and terminators never reach a block body *)
   | Phi _ | Br _ | Cond_br _ | Ret _ | Unreachable -> raiser "not a body instruction"
 
-let compile_term t fname (kind : Ir.Instr.kind) : frame -> int =
+let compile_term t (p : func_plan) (kind : Ir.Instr.kind) : frame -> int =
   match kind with
   | Ir.Instr.Br l -> fun _ -> l
   | Ir.Instr.Cond_br (c, l1, l2) ->
-      let c = operand t c in
-      fun fr -> if as_bool (read fr c) then l1 else l2
+      let c = off t p c in
+      fun fr -> if get fr.slab c <> 0L then l1 else l2
   | Ir.Instr.Ret None -> fun _ -> -1
   | Ir.Instr.Ret (Some v) ->
-      let v = operand t v in
+      let v = off t p v and r = p.ret_off in
       fun fr ->
-        fr.ret <- Some (read fr v);
+        set fr.slab r (get fr.slab v);
+        fr.returned <- true;
         -1
-  | _ -> raiser (Printf.sprintf "reached 'unreachable' in @%s" fname)
+  | _ -> raiser (Printf.sprintf "reached 'unreachable' in @%s" p.fname)
+
+(* An instruction naming an unknown global raises that error when it
+   executes. *)
+let or_raiser compile = try compile () with Runtime_error msg -> raiser msg
 
 (* The def/use hooks the watch plan marks on instruction [id], fired after
    its tick and before it executes; unmarked instructions get no wrapper. *)
@@ -769,11 +947,17 @@ let compile_block t (p : func_plan) b : block =
       (fun id ->
         match kind id with
         | Ir.Instr.Phi incoming ->
+            let src (_, v) =
+              match off t p v with o -> (o, "") | exception Runtime_error msg -> (-1, msg)
+            in
+            let srcs = Array.map src incoming in
             Some
               {
                 phi_id = id;
+                phi_ty = ty_of p (Ir.Types.Reg id);
                 preds = Array.map fst incoming;
-                srcs = Array.map (fun (_, v) -> operand t v) incoming;
+                srcs = Array.map fst srcs;
+                errs = Array.map snd srcs;
                 on_def = w.Events.defs.(id);
                 uses = w.Events.phi_uses.(id);
                 on_value = w.Events.phis.(id);
@@ -792,21 +976,21 @@ let compile_block t (p : func_plan) b : block =
   let term_opc, term =
     match term with
     | Some id ->
-        (Ir.Instr.opcode (kind id), hooked t w id (compile_term t p.fname (kind id)))
+        ( Ir.Instr.opcode (kind id),
+          hooked t w id (or_raiser (fun () -> compile_term t p (kind id))) )
     | None -> (-1, raiser (Printf.sprintf "block bb%d in @%s fell through" b p.fname))
   in
   let phis = Array.of_list phis in
   {
     phis;
-    staged = Array.make (Array.length phis) (Vint 0L);
+    staged = Bytes.create (8 * Array.length phis);
     opcs = Array.of_list (List.map (fun id -> Ir.Instr.opcode (kind id)) body);
     body =
       Array.of_list
         (List.map
            (fun id ->
-             let ins = Ir.Func.instr fn id in
              hooked t w id
-               (compile_instr t id ins.Ir.Instr.kind ~has_value:(ins.Ir.Instr.ty <> None)))
+               (or_raiser (fun () -> compile_instr t p id (Ir.Func.instr fn id))))
            body);
     term_opc;
     term;
@@ -829,18 +1013,30 @@ let make_plan ?watch (fn : Ir.Func.t) : func_plan =
       li.Cfg.Loopinfo.loops
   in
   let mem_lids = watch.Events.mem_lids in
+  let nparams = List.length fn.Ir.Func.params and param_base = Ir.Func.num_instrs fn in
   {
     fn;
     fname = fn.Ir.Func.fname;
     li;
     watch;
-    nregs = max 1 (Ir.Func.num_instrs fn);
+    nparams;
+    param_base;
+    ret_off = 8 * (param_base + nparams);
+    const_base = param_base + nparams + 1;
+    consts = Hashtbl.create 16;
+    template = Bytes.empty;
     in_loop;
     wants_mem =
       Array.init (Array.length in_loop) (fun lid ->
           lid >= Array.length mem_lids || mem_lids.(lid));
     blocks = [||];
   }
+
+(* A fresh slab: every slot zero but the constants. *)
+let template (p : func_plan) =
+  let s = Bytes.make (8 * (p.const_base + Hashtbl.length p.consts)) '\000' in
+  Hashtbl.iter (fun bits o -> set s o bits) p.consts;
+  s
 
 let create ?(hooks = Events.no_hooks) ?(fuel = 2_000_000_000)
     ?(mem_limit = 1 lsl 26) ?(max_depth = 10_000) ?deadline
@@ -882,7 +1078,9 @@ let create ?(hooks = Events.no_hooks) ?(fuel = 2_000_000_000)
     modul.Ir.Func.funcs;
   (* every plan exists before any is compiled: calls bind their callee's *)
   Hashtbl.iter
-    (fun _ p -> p.blocks <- Array.init (Ir.Func.num_blocks p.fn) (compile_block t p))
+    (fun _ p ->
+      p.blocks <- Array.init (Ir.Func.num_blocks p.fn) (compile_block t p);
+      p.template <- template p)
     t.plans;
   set_next_event t;
   t
@@ -897,21 +1095,20 @@ type range_result = {
 }
 
 (* Execute up to [max_iters] bodies of the loop headed at [header] against
-   an explicit frame, starting as if arriving from [pred] with the header
-   phis of the first arrival overridden by [seed]. Stops *before* the
-   arrival that would begin body [max_iters + 1] — that arrival's phi
-   evaluations belong to the next shard, whose seed reproduces them. Used
-   by shard workers on a forked image: loop events fire as usual, and any
-   trap or budget stop unwinds with the loop bookkeeping rebalanced. *)
-let run_loop_range t ~fname ~(regs : rv array) ~(args : rv array) ~header
-    ~pred ~seed ~max_iters : range_result =
-  let p = plan t fname in
+   [frame]'s slab, starting as if arriving from [pred] with the header phis
+   of the first arrival overridden by [seed]. Stops *before* the arrival
+   that would begin body [max_iters + 1] — that arrival's phi evaluations
+   belong to the next shard, whose seed reproduces them. Used by shard
+   workers on a forked image: loop events fire as usual, and any trap or
+   budget stop unwinds with the loop bookkeeping rebalanced. *)
+let run_loop_range t ~(frame : frame) ~header ~pred ~seed ~max_iters : range_result =
+  let p = frame.plan in
   let lid =
     match Cfg.Loopinfo.loop_of_header p.li header with
     | Some l -> l
-    | None -> error "run_loop_range: bb%d in @%s is not a loop header" header fname
+    | None -> error "run_loop_range: bb%d in @%s is not a loop header" header p.fname
   in
-  let fr = { regs; args; loops = []; ret = None } in
+  let fr = { frame with loops = [] } in
   let cur = ref header in
   let from_ = ref pred in
   let arrivals = ref 0 in
@@ -932,7 +1129,7 @@ let run_loop_range t ~fname ~(regs : rv array) ~(args : rv array) ~header
          in
          let next = run_block t p fr p.blocks.(b) ~pred:!from_ ~seed:sd in
          if next < 0 then
-           error "return while executing loop bb%d of @%s as a range" header fname
+           error "return while executing loop bb%d of @%s as a range" header p.fname
          else if p.in_loop.(lid).(next) then begin
            from_ := b;
            cur := next
@@ -952,9 +1149,17 @@ let run_main ?(args = []) t : outcome =
   (match Ir.Func.find_func t.modul "main" with
   | None -> error "module has no @main function"
   | Some _ -> ());
+  let p = plan t "main" in
+  let slab = Bytes.copy p.template in
+  List.iteri
+    (fun i v -> if i < p.nparams then set slab (8 * (p.param_base + i)) (Rvalue.bits_of v))
+    args;
   let ret, stop =
-    match exec_func t (plan t "main") (Array.of_list args) with
-    | r -> (r, Completed)
+    match exec_func t p slab with
+    | true ->
+        let ty = Option.value p.fn.Ir.Func.ret ~default:Ir.Types.I64 in
+        (Some (box ty (get slab p.ret_off)), Completed)
+    | false -> (None, Completed)
     | exception Budget_stop k -> (None, Truncated k)
   in
   {

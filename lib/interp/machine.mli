@@ -5,6 +5,12 @@
 
 type t
 
+(** A live activation: its function and its register slab, one unboxed
+    8-byte slot per instruction result, parameter, the return value and
+    each distinct constant. Abstract: the guarded runner reads it through
+    {!eval_operand} and {!frame_reg}, and runs shards on {!copy_frame}. *)
+type frame
+
 (** Test-only fault injection: at the first executed instruction whose clock
     reaches the stamp, the fault fires (a classified {!Rvalue.Trap} or a
     graceful {!Rvalue.Budget_stop}). Lets the campaign runner and the fuzz
@@ -20,15 +26,14 @@ type fault_plan = (int * fault) list
 
 (** A fresh arrival at a loop header from outside the loop, offered to the
     {!set_delegate} hook before the machine executes the loop serially.
-    [le_regs]/[le_args] are the live frame state; a delegate that declines
-    must leave them untouched. *)
+    [le_frame] is the live activation; a delegate that declines must leave
+    it untouched. *)
 type loop_entry = {
   le_fname : string;
   le_lid : int;  (** Cfg.Loopinfo lid within [le_fname] *)
   le_header : int;  (** header block id *)
   le_pred : int;  (** the out-of-loop predecessor block (preheader) *)
-  le_regs : Rvalue.rv array;
-  le_args : Rvalue.rv array;
+  le_frame : frame;
 }
 
 (** The whole-loop effect a delegate commits in place of serial execution:
@@ -160,8 +165,9 @@ val set_hooks : t -> Events.hooks -> unit
     counts every shard access as both executed and reported. *)
 val set_delegate : t -> (t -> loop_entry -> loop_commit option) option -> unit
 
-(** Raw word read/write: no tick, no access counting, bounds-checked.
-    Shard workers apply earlier rounds' writes to their snapshot and read
+(** Raw word read/write: no tick, no access counting, bounds-checked. A
+    read boxes the word by its tag; a write tags it by the value's
+    constructor. Shard workers apply earlier rounds' writes to their snapshot and read
     back the final values of the words they wrote with these; the parent
     applies a committed write set through {!loop_commit.lc_writes}
     instead. *)
@@ -181,13 +187,22 @@ val output_length : t -> int
 
 val output_since : t -> int -> string
 
-(** Evaluate an instruction operand against an explicit register/argument
-    frame (resolves globals through the machine's memory layout). *)
-val eval_operand :
-  t -> regs:Rvalue.rv array -> args:Rvalue.rv array -> Ir.Types.value -> Rvalue.rv
+(** Evaluate an instruction operand against a frame, boxed by its IR type
+    (resolves globals through the machine's memory layout).
+    @raise Rvalue.Runtime_error for an unknown global or parameter *)
+val eval_operand : t -> frame -> Ir.Types.value -> Rvalue.rv
+
+(** The value of instruction result [id] in the frame, boxed by its IR
+    type. *)
+val frame_reg : frame -> int -> Rvalue.rv
+
+(** A frame with its own copy of the slab and no open loops: a shard runs
+    its range on one without touching the live activation. *)
+val copy_frame : frame -> frame
 
 (** Scalar semantics, exposed for tests and the constant folder (optimized
-    code can never disagree with execution).
+    code can never disagree with execution). The engine compiles one
+    closure per operation with the same semantics.
     @raise Rvalue.Trap ([Div_by_zero]) on division/remainder by zero *)
 val exec_ibinop : Ir.Instr.ibinop -> int64 -> int64 -> int64
 
@@ -213,7 +228,7 @@ type range_result = {
 }
 
 (** Execute up to [max_iters] bodies of the loop headed at [header]
-    against an explicit frame, starting as if arriving from [pred] with
+    against [frame]'s slab (its function's loop), starting as if arriving from [pred] with
     the first arrival's header phis overridden by [seed] (phi id ->
     value). Stops {e before} the arrival that would begin body
     [max_iters + 1]: that arrival's phi evaluations belong to the next
@@ -225,9 +240,7 @@ type range_result = {
     range returns out of the function *)
 val run_loop_range :
   t ->
-  fname:string ->
-  regs:Rvalue.rv array ->
-  args:Rvalue.rv array ->
+  frame:frame ->
   header:int ->
   pred:int ->
   seed:(int * Rvalue.rv) list ->

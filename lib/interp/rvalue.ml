@@ -1,7 +1,8 @@
 (* Runtime values and the flat word-addressed memory. Address 0 is the null
-   sentinel; globals occupy [1 .. n]; the heap grows upward from there. Cells
-   are dynamically typed so the machine catches type confusion (a library
-   bug, not a benchmark property) instead of silently reinterpreting. *)
+   sentinel; globals occupy [1 .. n]; the heap grows upward from there. Each
+   word carries a tag byte beside an unboxed 8-byte payload, so the machine
+   catches type confusion (a library bug, not a benchmark property) instead
+   of silently reinterpreting. *)
 
 type rv = Vint of int64 | Vfloat of float | Vbool of bool
 
@@ -47,64 +48,113 @@ let as_int = function
 
 let as_float = function
   | Vfloat f -> f
-  (* zero-initialized cells read back as 0.0 through a float-typed load *)
-  | Vint 0L -> 0.0
   | v -> error "expected a float, got %s" (rv_to_string v)
 
-let as_bool = function
-  | Vbool b -> b
-  | v -> error "expected a bool, got %s" (rv_to_string v)
+(* Word tags. A zero-filled word is the int 0. *)
+let tag_int = '\000'
+
+let tag_float = '\001'
+
+let tag_bool = '\002'
 
 type memory = {
-  cells : rv Ir.Vec.t;
+  mutable tags : Bytes.t; (* one tag per word *)
+  mutable data : Bytes.t; (* 8 payload bytes per word *)
   mutable brk : int; (* next free heap address *)
   limit : int; (* max words *)
   global_addrs : (string, int) Hashtbl.t;
 }
 
+let tag_of = function Vint _ -> tag_int | Vfloat _ -> tag_float | Vbool _ -> tag_bool
+
+let bits_of = function
+  | Vint i -> i
+  | Vfloat f -> Int64.bits_of_float f
+  | Vbool b -> if b then 1L else 0L
+
+(* Room for [words] words: capacity doubles, capped at the limit, and the
+   new bytes are zero, so every word past [brk] reads as the int 0. *)
+let reserve mem words =
+  let cap = Bytes.length mem.tags in
+  if words > cap then begin
+    let cap' = max words (min mem.limit (2 * cap)) in
+    let grow b width =
+      let b' = Bytes.make (cap' * width) '\000' in
+      Bytes.blit b 0 b' 0 (Bytes.length b);
+      b'
+    in
+    mem.tags <- grow mem.tags 1;
+    mem.data <- grow mem.data 8
+  end
+
+let set_word mem a v =
+  Bytes.unsafe_set mem.tags a (tag_of v);
+  Bytes.set_int64_le mem.data (a lsl 3) (bits_of v)
+
 let create ?(limit = 1 lsl 26) (globals : Ir.Func.global list) : memory =
-  let cells = Ir.Vec.create ~dummy:(Vint 0L) in
-  Ir.Vec.push cells (Vint 0L) (* address 0: null *);
-  let global_addrs = Hashtbl.create 16 in
+  let mem =
+    {
+      tags = Bytes.empty;
+      data = Bytes.empty;
+      brk = 1 (* address 0: null *);
+      limit;
+      global_addrs = Hashtbl.create 16;
+    }
+  in
+  reserve mem (max 1024 (List.length globals + 1));
   List.iter
     (fun (g : Ir.Func.global) ->
-      let v =
-        match g.Ir.Func.ginit with
+      let a = mem.brk in
+      Hashtbl.replace mem.global_addrs g.Ir.Func.gname a;
+      set_word mem a
+        (match g.Ir.Func.ginit with
         | Ir.Types.Cint i -> Vint i
         | Ir.Types.Cfloat f -> Vfloat f
-        | Ir.Types.Cbool b -> Vbool b
-      in
-      Hashtbl.replace global_addrs g.Ir.Func.gname (Ir.Vec.length cells);
-      Ir.Vec.push cells v)
+        | Ir.Types.Cbool b -> Vbool b);
+      mem.brk <- a + 1)
     globals;
-  { cells; brk = Ir.Vec.length cells; limit; global_addrs }
+  mem
 
 let global_addr mem name =
   match Hashtbl.find_opt mem.global_addrs name with
   | Some a -> a
   | None -> error "unknown global @%s" name
 
-let check_addr mem a =
-  if a <= 0 || a >= Ir.Vec.length mem.cells then
-    trap Out_of_bounds "memory access out of bounds at address %d" a
+let out_of_bounds a = trap Out_of_bounds "memory access out of bounds at address %d" a
+
+let check_addr mem a = if a <= 0 || a >= mem.brk then out_of_bounds a
+
+let word_to_rv mem a =
+  let bits = Bytes.get_int64_le mem.data (a lsl 3) in
+  let tag = Bytes.unsafe_get mem.tags a in
+  if tag = tag_float then Vfloat (Int64.float_of_bits bits)
+  else if tag = tag_bool then Vbool (bits <> 0L)
+  else Vint bits
 
 let load mem a =
   check_addr mem a;
-  Ir.Vec.get mem.cells a
+  word_to_rv mem a
 
 let store mem a v =
   check_addr mem a;
-  Ir.Vec.set mem.cells a v
+  set_word mem a v
 
-(* Allocate [size] zero-initialized words; returns the base address. *)
+(* Copy word [src]'s tag and payload to [dst], source checked first. *)
+let copy_word mem ~src ~dst =
+  check_addr mem src;
+  check_addr mem dst;
+  Bytes.unsafe_set mem.tags dst (Bytes.unsafe_get mem.tags src);
+  Bytes.set_int64_le mem.data (dst lsl 3) (Bytes.get_int64_le mem.data (src lsl 3))
+
+(* Allocate [size] zero-initialized words; returns the base address. The
+   budget compare is [size > limit - brk]: [brk + size] overflows for a
+   size near max_int. *)
 let alloc mem size =
   if size < 0 then trap Negative_alloc "alloc with negative size %d" size;
-  if mem.brk + size > mem.limit then raise (Budget_stop Heap);
+  if size > mem.limit - mem.brk then raise (Budget_stop Heap);
   let base = mem.brk in
-  for _ = 1 to size do
-    Ir.Vec.push mem.cells (Vint 0L)
-  done;
-  mem.brk <- mem.brk + size;
+  reserve mem (base + size);
+  mem.brk <- base + size;
   base
 
 let words_in_use mem = mem.brk

@@ -583,10 +583,7 @@ let seed_value (res : resolved) lo : Rvalue.rv =
 let resolve_seeds m (entry : Machine.loop_entry) (el : elig) :
     ((int * resolved) list * (int * int * Scev.Recurrence.kind * int64) list)
     option =
-  let eval v =
-    Machine.eval_operand m ~regs:entry.Machine.le_regs
-      ~args:entry.Machine.le_args v
-  in
+  let eval v = Machine.eval_operand m entry.Machine.le_frame v in
   let eval_expr e =
     Scev.Expr.eval ~env:(fun v -> Rvalue.as_int (eval v)) ~iters:[] e
   in
@@ -625,9 +622,7 @@ let dyn_bodies m (entry : Machine.loop_entry) (el : elig) : int64 option =
       | None -> None
       | Some (op, start, step, bound) -> (
           let eval v =
-            Rvalue.as_int
-              (Machine.eval_operand m ~regs:entry.Machine.le_regs
-                 ~args:entry.Machine.le_args v)
+            Rvalue.as_int (Machine.eval_operand m entry.Machine.le_frame v)
           in
           try
             match
@@ -714,14 +709,13 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
   let a0 = Machine.mem_accesses m in
   let o0 = Machine.output_length m in
   Machine.set_hooks m hooks;
-  let regs = Array.copy entry.Machine.le_regs in
+  let frame = Machine.copy_frame entry.Machine.le_frame in
   let seed = List.map (fun (phi, res) -> (phi, seed_value res lo)) seeds in
   let status = ref "ok" and msg = ref "" in
   let res =
     try
       Some
-        (Machine.run_loop_range m ~fname:entry.Machine.le_fname ~regs
-           ~args:entry.Machine.le_args ~header:el.el_header ~pred:el.el_pre
+        (Machine.run_loop_range m ~frame ~header:el.el_header ~pred:el.el_pre
            ~seed ~max_iters)
     with
     | Rvalue.Trap (k, tm) ->
@@ -756,7 +750,8 @@ let worker_task m (el : elig) (entry : Machine.loop_entry)
     sr_accesses = Machine.mem_accesses m - a0;
     sr_output = Machine.output_since m o0;
     sr_regs =
-      (if ok then Array.to_list el.el_dump |> List.map (fun id -> (id, regs.(id)))
+      (if ok then
+         Array.to_list el.el_dump |> List.map (fun id -> (id, Machine.frame_reg frame id))
        else []);
     (* a failed shard ends the round's live prefix, so no later shard's
        reads are checked against its writes and nothing of it commits *)
