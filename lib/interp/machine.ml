@@ -197,44 +197,46 @@ let box (ty : Ir.Types.ty) bits : rv =
   | Ir.Types.F64 -> Vfloat (Int64.float_of_bits bits)
   | Ir.Types.I1 -> Vbool (bits <> 0L)
 
-(* A guest word as a host int, for addresses, allocation sizes and the
-   arrcopy/arrfill words. Int64.to_int drops bit 63, which would alias a
-   word near Int64.min_int onto a small address. A word outside the host
-   range saturates instead: every address check rejects min_int and
-   max_int, alloc refuses them (negative, or over the heap budget) and
+(* A guest word as a host int, for addresses and the arrcopy/arrfill
+   words. Int64.to_int drops bit 63, which would alias a word near
+   Int64.min_int onto a small address. A word outside the host range
+   saturates instead: every address check rejects min_int and max_int, and
    arrcopy/arrfill read them as an empty or an unbounded count. *)
 let[@inline] host_word (x : int64) =
   if x > 4611686018427387903L then max_int
   else if x < -4611686018427387904L then min_int
   else Int64.to_int x
 
-(* The payload of word [a], bounds-checked. *)
-let[@inline] word_bits (mem : memory) a =
-  if a <= 0 || a >= mem.brk then out_of_bounds a;
+let oob_word x = trap Out_of_bounds "memory access out of bounds at address %Ld" x
+
+(* The payload of word [a], the host form of guest address [x],
+   bounds-checked. *)
+let[@inline] word_bits (mem : memory) a x =
+  if a <= 0 || a >= mem.brk then oob_word x;
   Bytes.get_int64_le mem.data (a lsl 3)
 
 let wrong_tag mem a what = error "expected %s, got %s" what (rv_to_string (load mem a))
 
 (* Typed loads check the word's tag. A never-written word (the int 0)
    reads as 0.0 through a float load: its payload is +0.0's bit pattern. *)
-let[@inline] load_int (mem : memory) a =
-  let bits = word_bits mem a in
+let[@inline] load_int (mem : memory) a x =
+  let bits = word_bits mem a x in
   if Bytes.unsafe_get mem.tags a <> tag_int then wrong_tag mem a "an int";
   bits
 
-let[@inline] load_float (mem : memory) a =
-  let bits = word_bits mem a in
+let[@inline] load_float (mem : memory) a x =
+  let bits = word_bits mem a x in
   let tag = Bytes.unsafe_get mem.tags a in
   if tag <> tag_float && (tag <> tag_int || bits <> 0L) then wrong_tag mem a "a float";
   bits
 
-let[@inline] load_bool (mem : memory) a =
-  let bits = word_bits mem a in
+let[@inline] load_bool (mem : memory) a x =
+  let bits = word_bits mem a x in
   if Bytes.unsafe_get mem.tags a <> tag_bool then wrong_tag mem a "a bool";
   bits
 
-let[@inline] store_word (mem : memory) a tag bits =
-  if a <= 0 || a >= mem.brk then out_of_bounds a;
+let[@inline] store_word (mem : memory) a x tag bits =
+  if a <= 0 || a >= mem.brk then oob_word x;
   Bytes.unsafe_set mem.tags a tag;
   Bytes.set_int64_le mem.data (a lsl 3) bits
 
@@ -875,19 +877,22 @@ let compile_instr t (p : func_plan) id (ins : Ir.Instr.t) : frame -> unit =
       match ins.ty with
       | Some Ir.Types.F64 ->
           fun fr ->
-            let addr = host_word (get fr.slab a) in
+            let x = get fr.slab a in
+            let addr = host_word x in
             mem_access t ~addr ~is_write:false;
-            set fr.slab d (load_float mem addr)
+            set fr.slab d (load_float mem addr x)
       | Some Ir.Types.I1 ->
           fun fr ->
-            let addr = host_word (get fr.slab a) in
+            let x = get fr.slab a in
+            let addr = host_word x in
             mem_access t ~addr ~is_write:false;
-            set fr.slab d (load_bool mem addr)
+            set fr.slab d (load_bool mem addr x)
       | Some Ir.Types.I64 | None ->
           fun fr ->
-            let addr = host_word (get fr.slab a) in
+            let x = get fr.slab a in
+            let addr = host_word x in
             mem_access t ~addr ~is_write:false;
-            set fr.slab d (load_int mem addr))
+            set fr.slab d (load_int mem addr x))
   | Store (a, v) ->
       (* the word's tag is the stored operand's IR type *)
       let tag =
@@ -898,13 +903,13 @@ let compile_instr t (p : func_plan) id (ins : Ir.Instr.t) : frame -> unit =
       in
       let a = o a and v = o v in
       fun fr ->
-        let addr = host_word (get fr.slab a) in
+        let x = get fr.slab a in
+        let addr = host_word x in
         mem_access t ~addr ~is_write:true;
-        store_word mem addr tag (get fr.slab v)
+        store_word mem addr x tag (get fr.slab v)
   | Alloc n ->
       let n = o n in
-      fun fr ->
-        set fr.slab d (Int64.of_int (Rvalue.alloc mem (host_word (get fr.slab n))))
+      fun fr -> set fr.slab d (Int64.of_int (Rvalue.alloc mem (get fr.slab n)))
   | Call (callee, cargs) ->
       compile_call t p id ~has_value:(ins.ty <> None) callee cargs
   (* phis and terminators never reach a block body *)

@@ -147,12 +147,12 @@ let copy_word mem ~src ~dst =
   Bytes.set_int64_le mem.data (dst lsl 3) (Bytes.get_int64_le mem.data (src lsl 3))
 
 (* Allocate [size] zero-initialized words; returns the base address. The
-   budget compare is [size > limit - brk]: [brk + size] overflows for a
-   size near max_int. *)
-let alloc mem size =
-  if size < 0 then trap Negative_alloc "alloc with negative size %d" size;
-  if size > mem.limit - mem.brk then raise (Budget_stop Heap);
-  let base = mem.brk in
+   size is the guest's int64, compared as such: [brk + size] would
+   overflow for a size near the top of the range. *)
+let alloc mem (size : int64) =
+  if size < 0L then trap Negative_alloc "alloc with negative size %Ld" size;
+  if size > Int64.of_int (mem.limit - mem.brk) then raise (Budget_stop Heap);
+  let size = Int64.to_int size and base = mem.brk in
   reserve mem (base + size);
   mem.brk <- base + size;
   base

@@ -87,9 +87,10 @@ val store : memory -> int -> rv -> unit
     @raise Trap ([Out_of_bounds]) on out-of-bounds (including null). *)
 val copy_word : memory -> src:int -> dst:int -> unit
 
-(** Allocate zero-initialized words; returns the base address.
+(** Allocate zero-initialized words; returns the base address. The size
+    is a guest word, checked over its whole int64 range.
     @raise Trap ([Negative_alloc]) on negative size
     @raise Budget_stop ([Heap]) when the words would pass the limit *)
-val alloc : memory -> int -> int
+val alloc : memory -> int64 -> int
 
 val words_in_use : memory -> int

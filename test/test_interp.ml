@@ -1,8 +1,10 @@
 (* Interpreter tests: scalar operation semantics (against OCaml's Int64 /
-   float as ground truth), memory model, builtins, the instruction-count
+   float as ground truth), memory model (word tags, typed loads, guest
+   words that do not fit a host int), builtins, the instruction-count
    clock, fuel and depth limits, the instrumentation event stream, the
    budget/sampler/fault edges of the per-instruction tick, malformed IR
-   reaching execution, and the engine's allocation per instruction. *)
+   reaching execution, the engine's allocation per instruction and its
+   per-program digest golden. *)
 
 open Interp.Rvalue
 
@@ -72,7 +74,7 @@ let test_fcmp_nan () =
 
 let test_memory_model () =
   let mem = Interp.Rvalue.create [] in
-  let base = Interp.Rvalue.alloc mem 4 in
+  let base = Interp.Rvalue.alloc mem 4L in
   Interp.Rvalue.store mem base (Vint 42L);
   Alcotest.(check bool) "load back" true (Interp.Rvalue.load mem base = Vint 42L);
   Alcotest.(check bool) "zero init" true (Interp.Rvalue.load mem (base + 3) = Vint 0L);
@@ -88,8 +90,8 @@ let test_memory_model () =
 
 let test_memory_limit () =
   let mem = Interp.Rvalue.create ~limit:100 [] in
-  Alcotest.(check bool) "small alloc ok" true (Interp.Rvalue.alloc mem 50 > 0);
-  match Interp.Rvalue.alloc mem 100 with
+  Alcotest.(check bool) "small alloc ok" true (Interp.Rvalue.alloc mem 50L > 0);
+  match Interp.Rvalue.alloc mem 100L with
   | _ -> Alcotest.fail "expected heap budget stop"
   | exception Budget_stop Heap -> ()
 
@@ -102,6 +104,99 @@ let test_globals_in_memory () =
   Alcotest.(check bool) "initialized" true (Interp.Rvalue.load mem a = Vint 9L);
   Alcotest.check_raises "unknown global" (Runtime_error "unknown global @nope")
     (fun () -> ignore (Interp.Rvalue.global_addr mem "nope"))
+
+(* Tags: a word remembers the type of the value stored in it, and a typed
+   load checks it. *)
+
+let test_float_load_unwritten () =
+  Alcotest.(check string) "reads 0.0" "0"
+    (output "fn main() -> int { var a: float[] = new float[4]; print_float(a[2]); return 0; }")
+
+let test_bool_global () =
+  let src =
+    {|
+global flag: bool = true;
+fn main() -> int {
+  if (flag) { print_int(1); }
+  flag = false;
+  if (flag) { print_int(2); } else { print_int(3); }
+  return 0;
+}
+|}
+  in
+  Alcotest.(check string) "round-trips" "1\n3" (output src)
+
+let test_int_load_of_float_word () =
+  let open Ir.Types in
+  let fn = Ir.Func.create ~name:"main" ~params:[] ~ret:(Some I64) in
+  let b0 = Ir.Func.add_block fn in
+  let b = Ir.Builder.create fn in
+  Ir.Builder.position b b0;
+  ignore (Ir.Builder.load b ~ty:I64 (Global "g"));
+  Ir.Builder.ret b (Some (int_ 0));
+  let m = Ir.Func.create_module () in
+  Ir.Func.add_global m { Ir.Func.gname = "g"; gty = F64; ginit = Cfloat 1.5 };
+  Ir.Func.add_func m fn;
+  let machine = Interp.Machine.create m in
+  Alcotest.check_raises "raised by the load" (Runtime_error "expected an int, got 1.5")
+    (fun () -> ignore (Interp.Machine.run_main machine));
+  Alcotest.(check int) "at the load's clock" 1 (Interp.Machine.clock machine)
+
+let test_arrcopy_float_tags () =
+  let src =
+    {|
+fn main() -> int {
+  var a: float[] = new float[4];
+  var b: float[] = new float[4];
+  a[1] = 1.5;
+  arrcopy(b, a, 4);
+  print_float(b[1] + b[2]);
+  return 0;
+}
+|}
+  in
+  Alcotest.(check string) "copied words stay floats" "1.5" (output src)
+
+let expect_trap what kind src =
+  match run src with
+  | _ -> Alcotest.failf "%s: expected the %s trap" what (trap_kind_to_string kind)
+  | exception Trap (k, _) when k = kind -> ()
+
+let test_oob_trap () =
+  expect_trap "past the heap" Out_of_bounds
+    "fn main() -> int { var a: int[] = new int[4]; return a[100000]; }"
+
+(* Guest words reach host ints checked: Int64.to_int would drop bit 63, so
+   an index of min_int would alias a[0], and a size of min_int + 10 would
+   allocate 10 words. *)
+let min64 = "-9223372036854775807 - 1"
+
+let test_address_min_int () =
+  expect_trap "read" Out_of_bounds
+    (Printf.sprintf
+       "fn main() -> int { var a: int[] = new int[4]; a[0] = 42; var i: int = %s; \
+        return a[i]; }"
+       min64);
+  expect_trap "write" Out_of_bounds
+    (Printf.sprintf
+       "fn main() -> int { var a: int[] = new int[4]; var i: int = %s; a[i + 1] = 7; \
+        return a[1]; }"
+       min64)
+
+let test_alloc_size_min_int () =
+  expect_trap "new int[min_int + 9]" Negative_alloc
+    (Printf.sprintf
+       "fn main() -> int { var n: int = %s + 9; var a: int[] = new int[n]; return len(a); }"
+       min64)
+
+let test_alloc_size_max_int () =
+  (* brk + size overflows for this size, so the budget compare must not
+     add them *)
+  let out =
+    run "fn main() -> int { var a: int[] = new int[4611686018427387902]; return len(a); }"
+  in
+  Alcotest.(check bool) "truncated by the heap budget" true
+    (out.Interp.Machine.stop = Interp.Machine.Truncated Heap)
 
 (* ---- whole-program behaviour ---- *)
 
@@ -493,21 +588,26 @@ let test_malformed_taken () =
 
 (* Heap words the engine allocates per retired instruction on an unhooked,
    default-fuel run, counted as minor + major - promoted so a promoted
-   word is not counted twice. *)
+   word is not counted twice. Registers and memory words are unboxed, so
+   what remains is per call (a fresh slab) and per allocation. *)
 let test_alloc_per_instruction () =
-  let b = Option.get (Suites.Suite.find "179_art") in
-  let m = Frontend.compile_exn b.Suites.Suite.source in
-  Cfg.Loop_simplify.run_module m;
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = words () in
-  let out = Interp.Machine.run_main (Interp.Machine.create m) in
-  let per_instr = (words () -. before) /. float_of_int out.Interp.Machine.clock in
-  check_stop "179_art completes" Interp.Machine.Completed out;
-  if per_instr > 4.0 then
-    Alcotest.failf "%.2f words allocated per instruction, ceiling 4" per_instr
+  List.iter
+    (fun name ->
+      let b = Option.get (Suites.Suite.find name) in
+      let m = Frontend.compile_exn b.Suites.Suite.source in
+      Cfg.Loop_simplify.run_module m;
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = words () in
+      let out = Interp.Machine.run_main (Interp.Machine.create m) in
+      let per_instr = (words () -. before) /. float_of_int out.Interp.Machine.clock in
+      check_stop (name ^ " completes") Interp.Machine.Completed out;
+      if per_instr > 0.5 then
+        Alcotest.failf "%s: %.2f words allocated per instruction, ceiling 0.5" name
+          per_instr)
+    [ "179_art"; "171_swim" ]
 
 (* What the engine computes for one registered program, run unhooked at
    the machine's default budgets with opcode counts on: how the run
@@ -581,6 +681,17 @@ let () =
           Alcotest.test_case "model" `Quick test_memory_model;
           Alcotest.test_case "limit" `Quick test_memory_limit;
           Alcotest.test_case "globals" `Quick test_globals_in_memory;
+          Alcotest.test_case "float load of an unwritten word" `Quick
+            test_float_load_unwritten;
+          Alcotest.test_case "bool global round-trips" `Quick test_bool_global;
+          Alcotest.test_case "int load of a float word" `Quick test_int_load_of_float_word;
+          Alcotest.test_case "arrcopy keeps float tags" `Quick test_arrcopy_float_tags;
+          Alcotest.test_case "out of bounds is a trap" `Quick test_oob_trap;
+          Alcotest.test_case "address near min_int traps" `Quick test_address_min_int;
+          Alcotest.test_case "allocation size near min_int traps" `Quick
+            test_alloc_size_min_int;
+          Alcotest.test_case "allocation size near max_int stops at the heap" `Quick
+            test_alloc_size_max_int;
         ] );
       ( "programs",
         [
