@@ -65,16 +65,17 @@ let rec compare_expr a b =
   | Cannot, Cannot -> 0
   | _ -> Int.compare (rank a) (rank b)
 
-(* Normalization. Kept conservative: only rewrites that are sound without
-   knowing loop-invariance of unknowns (constants are invariant everywhere;
-   add-recurrences of the same loop combine pointwise). *)
-let rec simplify e =
+(* Normalization, one bottom-up pass. Kept conservative: only rewrites that
+   are sound without knowing loop-invariance of unknowns (constants are
+   invariant everywhere; add-recurrences of the same loop combine
+   pointwise). *)
+let rec simplify_pass e =
   match e with
   | Const _ | Unknown _ | Self _ | Cannot -> e
-  | Add ts -> simplify_add (List.map simplify ts)
-  | Mul ts -> simplify_mul (List.map simplify ts)
+  | Add ts -> simplify_add (List.map simplify_pass ts)
+  | Mul ts -> simplify_mul (List.map simplify_pass ts)
   | Add_rec { start; step; loop } -> (
-      let start = simplify start and step = simplify step in
+      let start = simplify_pass start and step = simplify_pass step in
       (* a zero-step recurrence is just its start value — but only when the
          start does not itself vary with this loop (it always is invariant in
          exprs produced by the analysis; arbitrary exprs need the check) *)
@@ -162,6 +163,15 @@ and simplify_mul ts =
       | ts', 1L -> Mul (List.sort compare_expr ts')
       | ts', c -> Mul (Const c :: List.sort compare_expr ts')
   end
+
+(* One pass can leave work for the next: add-recurrences whose steps
+   cancel merge into a zero-step recurrence that only the next pass
+   collapses, and the sum such a collapse exposes is flattened only on the
+   pass after. Re-simplify until a pass changes nothing, so simplify is
+   idempotent. *)
+let rec simplify e =
+  let s = simplify_pass e in
+  if equal s e then s else simplify s
 
 let add a b = simplify (Add [ a; b ])
 let sub a b = simplify (Add [ a; Mul [ Const (-1L); b ] ])

@@ -92,8 +92,25 @@ let prop_simplify_preserves_eval =
       let iters = [ (0, 4) ] in
       Int64.equal (eval ~env ~iters e) (eval ~env ~iters (simplify e)))
 
+(* Shrunk counterexamples of idempotence: one pass merged the steps to
+   zero without collapsing the recurrence, and the collapse then left a sum
+   inside a sum. *)
+let test_simplify_fixpoint () =
+  let rec_ start step = Add_rec { start; step; loop = 0 } in
+  let arg2 = Unknown (Ir.Types.Param 2) in
+  List.iter
+    (fun (e, want) ->
+      let s = simplify e in
+      Alcotest.(check string) (to_string e) want (to_string s);
+      Alcotest.(check string) "idempotent" (to_string s) (to_string (simplify s)))
+    [
+      (Add [ rec_ (Const (-1L)) (Const 6L); rec_ (Const 15L) (Const (-6L)) ], "14");
+      (Add [ rec_ arg2 (Const 1L); rec_ arg2 (Const (-1L)); Const 4L ], "(4 + %arg2 + %arg2)");
+    ]
+
 let prop_simplify_idempotent =
-  QCheck.Test.make ~name:"simplify idempotent" ~count:300 (QCheck.make gen_expr)
+  QCheck.Test.make ~name:"simplify idempotent" ~count:300
+    (QCheck.make ~print:to_string gen_expr)
     (fun e ->
       let s = simplify e in
       equal s (simplify s))
@@ -433,6 +450,7 @@ let () =
           Alcotest.test_case "const into start" `Quick test_const_folds_into_start;
           Alcotest.test_case "mul distributes" `Quick test_mul_distributes;
           Alcotest.test_case "zero step" `Quick test_zero_step_collapses;
+          Alcotest.test_case "simplify to a fixpoint" `Quick test_simplify_fixpoint;
           Alcotest.test_case "eval addrec" `Quick test_eval_addrec;
           QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
           QCheck_alcotest.to_alcotest prop_simplify_idempotent;
