@@ -850,16 +850,7 @@ let compile_instr t (p : func_plan) id (ins : Ir.Instr.t) : frame -> unit =
       | Fsub -> fun fr -> setf fr.slab d (getf fr.slab a -. getf fr.slab b)
       | Fmul -> fun fr -> setf fr.slab d (getf fr.slab a *. getf fr.slab b)
       | Fdiv -> fun fr -> setf fr.slab d (getf fr.slab a /. getf fr.slab b))
-  | Icmp (op, a, b) -> (
-      match (ty_of p a, ty_of p b) with
-      | Ir.Types.I64, Ir.Types.I64 | Ir.Types.I1, Ir.Types.I1 ->
-          compile_icmp op (o a) (o b) d
-      | ta, tb ->
-          let a = o a and b = o b in
-          fun fr ->
-            error "icmp on mixed types (%s, %s)"
-              (rv_to_string (box ta (get fr.slab a)))
-              (rv_to_string (box tb (get fr.slab b))))
+  | Icmp (op, a, b) -> compile_icmp op (o a) (o b) d
   | Fcmp (op, a, b) -> compile_fcmp op (o a) (o b) d
   | Select (c, x, y) ->
       let c = o c and x = o x and y = o y in

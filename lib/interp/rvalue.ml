@@ -101,7 +101,7 @@ let create ?(limit = 1 lsl 26) (globals : Ir.Func.global list) : memory =
       global_addrs = Hashtbl.create 16;
     }
   in
-  reserve mem (max 1024 (List.length globals + 1));
+  reserve mem (List.length globals + 1);
   List.iter
     (fun (g : Ir.Func.global) ->
       let a = mem.brk in
