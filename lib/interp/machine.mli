@@ -1,7 +1,11 @@
 (** The IR interpreter — the limit study's run-time component. Executes a
     verified module deterministically, advancing a clock by one per executed
     IR instruction (the paper's dynamic-IR-instruction-count time metric)
-    and reporting instrumentation events through {!Events.hooks}. *)
+    and reporting instrumentation events through {!Events.hooks}.
+
+    Registers live unboxed in a per-activation slab and take their types
+    from the verified IR; memory words carry a type tag, and a typed load
+    checks it. Values cross this interface boxed, as {!Rvalue.rv}. *)
 
 type t
 
@@ -167,10 +171,10 @@ val set_delegate : t -> (t -> loop_entry -> loop_commit option) option -> unit
 
 (** Raw word read/write: no tick, no access counting, bounds-checked. A
     read boxes the word by its tag; a write tags it by the value's
-    constructor. Shard workers apply earlier rounds' writes to their snapshot and read
-    back the final values of the words they wrote with these; the parent
-    applies a committed write set through {!loop_commit.lc_writes}
-    instead. *)
+    constructor. Shard workers apply earlier rounds' writes to their
+    snapshot and read back the final values of the words they wrote with
+    these; the parent applies a committed write set through
+    {!loop_commit.lc_writes} instead. *)
 val read_word : t -> int -> Rvalue.rv
 
 val write_word : t -> int -> Rvalue.rv -> unit
