@@ -372,11 +372,6 @@ let output_since (t : t) pos = Buffer.sub t.out pos (Buffer.length t.out - pos)
 let ty_of (p : func_plan) v =
   match Ir.Func.value_ty p.fn v with Some ty -> ty | None -> Ir.Types.I64
 
-let const_bits = function
-  | Ir.Types.Cint i -> i
-  | Ir.Types.Cfloat f -> Int64.bits_of_float f
-  | Ir.Types.Cbool b -> of_bool b
-
 (* The byte offset of a register or parameter slot. *)
 let reg_off (p : func_plan) (v : Ir.Types.value) =
   match v with
@@ -401,16 +396,14 @@ let off (t : t) (p : func_plan) (v : Ir.Types.value) =
   in
   match v with
   | Ir.Types.Reg _ | Ir.Types.Param _ -> reg_off p v
-  | Ir.Types.Const c -> const (const_bits c)
+  | Ir.Types.Const c -> const (Rvalue.bits_of (Rvalue.of_const c))
   | Ir.Types.Global g -> const (Int64.of_int (Rvalue.global_addr t.mem g))
 
 (* Evaluate an instruction operand against a live frame (the guarded
    runner resolves loop-entry values and symbolic trip bounds this way). *)
 let eval_operand (t : t) (fr : frame) (v : Ir.Types.value) : rv =
   match v with
-  | Ir.Types.Const (Ir.Types.Cint i) -> Vint i
-  | Ir.Types.Const (Ir.Types.Cfloat f) -> Vfloat f
-  | Ir.Types.Const (Ir.Types.Cbool b) -> Vbool b
+  | Ir.Types.Const c -> Rvalue.of_const c
   | Ir.Types.Global g -> Vint (Int64.of_int (Rvalue.global_addr t.mem g))
   | Ir.Types.Reg _ | Ir.Types.Param _ ->
       box (ty_of fr.plan v) (get fr.slab (reg_off fr.plan v))

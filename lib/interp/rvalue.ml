@@ -6,6 +6,11 @@
 
 type rv = Vint of int64 | Vfloat of float | Vbool of bool
 
+let of_const = function
+  | Ir.Types.Cint i -> Vint i
+  | Ir.Types.Cfloat f -> Vfloat f
+  | Ir.Types.Cbool b -> Vbool b
+
 let rv_to_string = function
   | Vint i -> Int64.to_string i
   | Vfloat f -> Printf.sprintf "%.17g" f
@@ -106,11 +111,7 @@ let create ?(limit = 1 lsl 26) (globals : Ir.Func.global list) : memory =
     (fun (g : Ir.Func.global) ->
       let a = mem.brk in
       Hashtbl.replace mem.global_addrs g.Ir.Func.gname a;
-      set_word mem a
-        (match g.Ir.Func.ginit with
-        | Ir.Types.Cint i -> Vint i
-        | Ir.Types.Cfloat f -> Vfloat f
-        | Ir.Types.Cbool b -> Vbool b);
+      set_word mem a (of_const g.Ir.Func.ginit);
       mem.brk <- a + 1)
     globals;
   mem
@@ -120,20 +121,17 @@ let global_addr mem name =
   | Some a -> a
   | None -> error "unknown global @%s" name
 
-let out_of_bounds a = trap Out_of_bounds "memory access out of bounds at address %d" a
+let check_addr mem a =
+  if a <= 0 || a >= mem.brk then
+    trap Out_of_bounds "memory access out of bounds at address %d" a
 
-let check_addr mem a = if a <= 0 || a >= mem.brk then out_of_bounds a
-
-let word_to_rv mem a =
+let load mem a =
+  check_addr mem a;
   let bits = Bytes.get_int64_le mem.data (a lsl 3) in
   let tag = Bytes.unsafe_get mem.tags a in
   if tag = tag_float then Vfloat (Int64.float_of_bits bits)
   else if tag = tag_bool then Vbool (bits <> 0L)
   else Vint bits
-
-let load mem a =
-  check_addr mem a;
-  word_to_rv mem a
 
 let store mem a v =
   check_addr mem a;

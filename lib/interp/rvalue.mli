@@ -6,6 +6,9 @@
 
 type rv = Vint of int64 | Vfloat of float | Vbool of bool
 
+(** A compile-time constant as a runtime value. *)
+val of_const : Ir.Types.const -> rv
+
 val rv_to_string : rv -> string
 
 (** Interpreter-invariant breakage (type confusion, malformed IR reaching
@@ -71,9 +74,6 @@ val create : ?limit:int -> Ir.Func.global list -> memory
 
 (** @raise Runtime_error for unknown names. *)
 val global_addr : memory -> string -> int
-
-(** Raise the out-of-bounds {!Trap} for address [a]. *)
-val out_of_bounds : int -> 'a
 
 (** A word boxed by its tag.
     @raise Trap ([Out_of_bounds]) on out-of-bounds (including null). *)

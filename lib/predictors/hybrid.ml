@@ -133,8 +133,6 @@ let hits t stream =
   reset t;
   List.map (step t) stream
 
-(* Bit image of a runtime value, the currency predictors work in. *)
-let bits_of_rv : Interp.Rvalue.rv -> int64 = function
-  | Interp.Rvalue.Vint i -> i
-  | Interp.Rvalue.Vfloat f -> Int64.bits_of_float f
-  | Interp.Rvalue.Vbool b -> if b then 1L else 0L
+(* Bit image of a runtime value, the currency predictors work in: the
+   payload the interpreter stores for it. *)
+let bits_of_rv = Interp.Rvalue.bits_of

@@ -331,28 +331,13 @@ let digests =
     (Profile_digest.map_profiles (fun p ->
          (Profile_digest.digest_of_profile p, Evaluate_digest.digest_of_reports p)))
 
-(* The digests [pick] selects must match [golden/<name>.json] bit for bit. On
-   a mismatch the fresh digests are written next to the test binary, ready to
-   review and copy over the golden when a change is meant to alter them. *)
+(* The digests [pick] selects must match [golden/<name>.json] bit for bit. *)
 let check_golden name pick =
-  let golden_path = "golden/" ^ name ^ ".json" in
-  let actual_path = name ^ ".actual.json" in
-  let golden = In_channel.with_open_bin golden_path In_channel.input_all in
-  let actual =
-    Profile_digest.render
-      (List.map
-         (fun (prog, ds) -> (prog, List.map (fun (sp, d) -> (sp, pick d)) ds))
-         (Lazy.force digests))
-  in
-  if actual <> golden then begin
-    Out_channel.with_open_bin actual_path (fun oc -> output_string oc actual);
-    let lines s = String.split_on_char '\n' s in
-    let changed =
-      List.filter (fun l -> not (List.mem l (lines golden))) (lines actual)
-    in
-    Alcotest.failf "%s differ from %s (fresh copy: %s/%s):\n%s" name golden_path
-      (Sys.getcwd ()) actual_path (String.concat "\n" changed)
-  end
+  Golden_file.check ~name ~golden_path:("golden/" ^ name ^ ".json")
+    (Profile_digest.render
+       (List.map
+          (fun (prog, ds) -> (prog, List.map (fun (sp, d) -> (sp, pick d)) ds))
+          (Lazy.force digests)))
 
 let test_profile_digests () = check_golden "profile_digests" fst
 

@@ -639,8 +639,7 @@ let engine_digest (bm : Suites.Suite.benchmark) : Util.Json.t =
 
 (* Every registered program's engine digest must match
    [golden/engine_digests.json], one line per program, so an engine
-   rewrite proves itself byte-equal to its predecessor. On a mismatch the
-   fresh digests are written next to the test binary. *)
+   rewrite proves itself byte-equal to its predecessor. *)
 let test_engine_digests () =
   let programs = Suites.Suite.all () in
   let b = Buffer.create 16384 in
@@ -653,17 +652,8 @@ let test_engine_digests () =
         (if i + 1 < List.length programs then "," else ""))
     programs;
   Buffer.add_string b "}\n";
-  let actual = Buffer.contents b in
-  let golden_path = "golden/engine_digests.json" in
-  let golden = In_channel.with_open_bin golden_path In_channel.input_all in
-  if actual <> golden then begin
-    let actual_path = "engine_digests.actual.json" in
-    Out_channel.with_open_bin actual_path (fun oc -> output_string oc actual);
-    let lines s = String.split_on_char '\n' s in
-    let changed = List.filter (fun l -> not (List.mem l (lines golden))) (lines actual) in
-    Alcotest.failf "engine digests differ from %s (fresh copy: %s/%s):\n%s" golden_path
-      (Sys.getcwd ()) actual_path (String.concat "\n" changed)
-  end
+  Golden_file.check ~name:"engine_digests" ~golden_path:"golden/engine_digests.json"
+    (Buffer.contents b)
 
 let () =
   Alcotest.run "interp"
