@@ -30,7 +30,7 @@ let check (p : Profile.profile) : violation list =
       let ls = fs.Classify.loops.(inv.Profile.lid) in
       match ls.Classify.dep.Deptest.Analysis.verdict with
       | Deptest.Analysis.Proven_doall
-        when inv.Profile.n_mem_deps > 0 || Hashtbl.length inv.Profile.mem_conflicts > 0
+        when inv.Profile.n_mem_deps > 0 || inv.Profile.n_conflicts > 0
         ->
           out :=
             {

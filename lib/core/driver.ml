@@ -211,7 +211,7 @@ let finish_profile (ms : Classify.module_static) (profiler : Profile.t)
   {
     Profile.ms;
     invs = Ir.Vec.to_array profiler.Profile.invs;
-    phi_obs = profiler.Profile.phi_obs;
+    phi_obs = Profile.phi_obs profiler;
     total_cost = outcome.Interp.Machine.clock;
     outcome;
     truncated = (outcome.Interp.Machine.stop <> Interp.Machine.Completed);
@@ -225,7 +225,9 @@ let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
       ?static_prune ?observe_ranges ?hotspot ms
   in
   Fun.protect
-    ~finally:(fun () -> Option.iter Prof.Hotspot.finish hotspot)
+    ~finally:(fun () ->
+      Profile.flush_open profiler;
+      Option.iter Prof.Hotspot.finish hotspot)
     (fun () ->
       let outcome =
         Obs.Telemetry.with_span "profile.interp" (fun () ->
@@ -249,7 +251,9 @@ let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
       ?static_prune ?observe_ranges ?hotspot ms
   in
   Fun.protect
-    ~finally:(fun () -> Option.iter Prof.Hotspot.finish hotspot)
+    ~finally:(fun () ->
+      Profile.flush_open profiler;
+      Option.iter Prof.Hotspot.finish hotspot)
   @@ fun () ->
   match
     Obs.Telemetry.with_span "profile.interp" (fun () ->

@@ -200,20 +200,19 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
     let serial_reduced = !serial_reduced in
     let overall_scale = if raw_total > 0.0 then serial_reduced /. raw_total else 1.0 in
     (* Memory conflicts apply under every model. *)
-    let merged = ref false in
-    if Hashtbl.length inv.Profile.mem_conflicts > 0 then begin
-      merged := true;
-      Hashtbl.iter
-        (fun k (delta, prod) ->
-          let delta =
-            if knobs.helix_distance_normalized && k > prod then
-              delta /. float_of_int (k - prod)
-            else delta
-          in
-          merged_delta.(k) <- delta *. stall_scale raw_costs reduced k;
-          merged_prod.(k) <- prod)
-        inv.Profile.mem_conflicts
-    end;
+    let merged = ref (inv.Profile.n_conflicts > 0) in
+    let conflicts = inv.Profile.conflicts in
+    for i = 0 to inv.Profile.n_conflicts - 1 do
+      let k = conflicts.(3 * i) and prod = conflicts.((3 * i) + 2) in
+      let delta = float_of_int conflicts.((3 * i) + 1) in
+      let delta =
+        if knobs.helix_distance_normalized && k > prod then
+          delta /. float_of_int (k - prod)
+        else delta
+      in
+      merged_delta.(k) <- delta *. stall_scale raw_costs reduced k;
+      merged_prod.(k) <- prod
+    done;
     (* Register LCDs in the effective non-computable set under the reduc
        flag. *)
     let serial_static = ref (call_violation config.Config.fn inv.Profile.call_mask) in
@@ -333,8 +332,7 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
     l_serial.(s) <- l_serial.(s) +. loop_serial.(id);
     l_final.(s) <- l_final.(s) +. final.(id);
     l_deps.(s) <- l_deps.(s) + inv.Profile.n_mem_deps;
-    l_conflicting.(s) <-
-      l_conflicting.(s) + Hashtbl.length inv.Profile.mem_conflicts;
+    l_conflicting.(s) <- l_conflicting.(s) + inv.Profile.n_conflicts;
     l_iters.(s) <- l_iters.(s) + Profile.n_iters inv
   done;
   (* Rows enter the table in first-invocation order and leave it in the

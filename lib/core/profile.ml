@@ -12,10 +12,13 @@
    WAR/WAW are never recorded: the study assumes lazy versioning with
    in-order commit (paper §II-D).
 
-   The listener's cost follows the work it records. Writes cost one array
-   store; a read costs one array load plus a walk over the live invocations
-   that started after the word was last written. A predictor bank lives
-   only while its invocation does. *)
+   The listener's cost follows the work it records, and an event hashes
+   nothing. Writes cost one array store; a read costs one array load plus a
+   walk over the live invocations that started after the word was last
+   written. A conflict updates or appends one int triple. A predictor bank
+   lives only while its invocation does, and its hit counts reach the
+   telemetry counters when the invocation exits (or, after a trap, when
+   the driver flushes the invocations still open). *)
 
 type reg_track = {
   phi_id : int;
@@ -48,10 +51,14 @@ type inv = {
   start_clock : int;
   mutable end_clock : int;
   iter_starts : int Ir.Vec.t;
-  (* consumer iteration -> (worst stall delta, most recent producer
-     iteration). The producer index is what lets Partial-DOALL treat reads of
-     already-committed writes as satisfied (paper §III-B). *)
-  mem_conflicts : (int, float * int) Hashtbl.t;
+  (* Memory conflicts, one int triple per conflicting consumer iteration in
+     ascending order: the iteration, its worst stall delta (a difference of
+     two clocks, so exact as an int) and its most recent producer
+     iteration. The producer index is what lets Partial-DOALL treat reads
+     of already-committed writes as satisfied (paper §III-B). Triple [i]
+     is at [3 * i]; [n_conflicts] triples are in use. *)
+  mutable conflicts : int array;
+  mutable n_conflicts : int;
   tracks : reg_track array;
   mutable call_mask : int;
   mutable n_mem_deps : int; (* count of cross-iteration RAW manifestations *)
@@ -65,6 +72,12 @@ let n_iters inv = Ir.Vec.length inv.iter_starts
 let cur_iter inv = n_iters inv - 1
 
 let iter_start inv k = Ir.Vec.get inv.iter_starts k
+
+(* The memory conflicts as (consumer iteration, stall delta, producer
+   iteration) triples, ascending by consumer iteration. *)
+let conflict_list inv =
+  let c = inv.conflicts in
+  List.init inv.n_conflicts (fun i -> (c.(3 * i), c.((3 * i) + 1), c.((3 * i) + 2)))
 
 (* call_mask bits *)
 let mask_pure_builtin = 1
@@ -85,6 +98,11 @@ type func_ctx = {
   call_bit : int; (* call_mask bit of a call to this function *)
   defs : int list array; (* watched def instr id -> the phis it produces *)
   watched : Classify.phi_info array array; (* lid -> the phis tracks follow *)
+  (* Observed (min, max) integer value per header phi, by phi id: 16 bytes
+     per id in [phi_range], and a nonzero byte in [phi_seen] once any value
+     has been recorded. *)
+  phi_range : Bytes.t;
+  phi_seen : Bytes.t;
 }
 
 type t = {
@@ -94,10 +112,7 @@ type t = {
   funcs : (string, func_ctx) Hashtbl.t;
   predictors : Predictors.Hybrid.component list; (* each bank's components (ablation) *)
   static_prune : bool; (* honor Proven_doall verdicts when tracking memory *)
-  phi_obs : (string * int, int64 * int64) Hashtbl.t;
-      (* (fname, phi_id) -> (min, max) integer value observed at any header
-         arrival; fed by on_header_phi, validated by Crosscheck.check_ranges
-         against the proven static interval *)
+  mutable found : int; (* the track index the last successful find_track matched *)
   (* Shadow memory for RAW detection: per guest word, the clock of its last
      reported write, 0 if none. It only grows, to the highest address
      written. A write past its end waits in [pending_*] until the next
@@ -119,7 +134,8 @@ let dummy_inv =
     start_clock = 0;
     end_clock = 0;
     iter_starts = Ir.Vec.create ~dummy:0;
-    mem_conflicts = Hashtbl.create 1;
+    conflicts = [||];
+    n_conflicts = 0;
     tracks = [||];
     call_mask = 0;
     n_mem_deps = 0;
@@ -131,7 +147,8 @@ let create ?(predictors = Predictors.Hybrid.all) ?(static_prune = true)
   let funcs = Hashtbl.create 16 in
   Hashtbl.iter
     (fun fname (fs : Classify.func_static) ->
-      let defs = Array.make (Ir.Func.num_instrs fs.Classify.fn) [] in
+      let n_instrs = Ir.Func.num_instrs fs.Classify.fn in
+      let defs = Array.make n_instrs [] in
       Option.iter
         (Hashtbl.iter (fun id phis -> defs.(id) <- phis))
         (Hashtbl.find_opt def_maps fname);
@@ -145,6 +162,8 @@ let create ?(predictors = Predictors.Hybrid.all) ?(static_prune = true)
             Array.map
               (fun ls -> Array.of_list (Classify.watched_phis ls))
               fs.Classify.loops;
+          phi_range = Bytes.create (16 * n_instrs);
+          phi_seen = Bytes.make n_instrs '\000';
         })
     ms.Classify.funcs;
   {
@@ -154,7 +173,7 @@ let create ?(predictors = Predictors.Hybrid.all) ?(static_prune = true)
     funcs;
     predictors;
     static_prune;
-    phi_obs = Hashtbl.create 64;
+    found = 0;
     last_write = [||];
     pending_addr = -1;
     pending_clock = 0;
@@ -249,7 +268,8 @@ let on_loop_enter t ~lid ~clock =
       start_clock = clock;
       end_clock = clock;
       iter_starts = Ir.Vec.create ~dummy:0;
-      mem_conflicts = Hashtbl.create 8;
+      conflicts = [||];
+      n_conflicts = 0;
       tracks = Array.map (new_track t) fc.watched.(lid);
       call_mask = 0;
       n_mem_deps = 0;
@@ -280,48 +300,79 @@ let on_loop_iter t ~lid ~clock =
       Ir.Vec.push inv.iter_starts clock
   | _ -> invalid_arg "loop_iter without matching invocation"
 
+let flush_banks inv =
+  Array.iter (fun tr -> Option.iter Predictors.Hybrid.flush tr.predictor) inv.tracks
+
+(* Publish the predictor counts of the invocations still open: a run that
+   ends in a trap or an exception never exits them. *)
+let flush_open t = List.iter flush_banks t.stack
+
 (* Nothing reads a bank after its invocation ends, so a finished profile
    holds only counts, deltas and mispredicted iterations. *)
 let on_loop_exit t ~lid ~clock =
   match t.stack with
   | inv :: rest when inv.lid = lid ->
       finish_iteration_tracks inv;
+      flush_banks inv;
       Array.iter (fun tr -> tr.predictor <- None) inv.tracks;
       inv.end_clock <- clock;
       Obs.Telemetry.observe h_loop_iters (float_of_int (n_iters inv));
       t.stack <- rest
   | _ -> invalid_arg "loop_exit without matching invocation"
 
-(* The iteration of [inv] that was running at clock [w]: the last one to
-   start before it. No write shares a clock with an iteration start (the
+(* The last iteration in [lo, hi) to start before clock [w], given
+   iter_start lo < w <= iter_start hi. *)
+let rec search_iter inv w lo hi =
+  if hi - lo <= 1 then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if iter_start inv mid < w then search_iter inv w mid hi else search_iter inv w lo mid
+
+(* The iteration of [inv] that was running at clock [w], a write before
+   the current iteration [k]: the last one to start before it, most often
+   the previous one. No write shares a clock with an iteration start (the
    latch branch and the header each retire an instruction in between). *)
-let producer_iter inv w =
-  let rec go lo hi =
-    (* iter_start lo < w <= iter_start hi *)
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if iter_start inv mid < w then go mid hi else go lo mid
-  in
-  go 0 (cur_iter inv)
+let producer_iter inv k w =
+  if iter_start inv (k - 1) < w then k - 1 else search_iter inv w 0 (k - 1)
+
+let grow_conflicts inv =
+  let old = inv.conflicts in
+  let a = Array.make (Int.max 12 (2 * Array.length old)) 0 in
+  Array.blit old 0 a 0 (Array.length old);
+  inv.conflicts <- a
 
 (* RAW loop-carried dependency manifests. The stall delta is the raw
    producer/consumer offset difference, NOT normalized by the iteration
    distance: the paper's HELIX model synchronizes every neighbouring-
    iteration pair at the worst offset observed for any manifesting LCD
    (§III-B), which is what lets PDOALL beat HELIX on loops with rare,
-   long-distance conflicts (Fig. 4). *)
+   long-distance conflicts (Fig. 4).
+
+   A read conflicts only in its invocation's current iteration, and
+   iterations only advance, so the conflict either updates the last triple
+   or appends one. *)
 let record_conflict inv ~w ~clock =
   let k = cur_iter inv in
-  let wi = producer_iter inv w in
+  let wi = producer_iter inv k w in
   inv.n_mem_deps <- inv.n_mem_deps + 1;
   let prod_rel = w - iter_start inv wi in
   let cons_rel = clock - iter_start inv k in
-  let delta = Float.max 0.0 (float_of_int (prod_rel - cons_rel)) in
-  let old_d, old_p =
-    Option.value ~default:(0.0, -1) (Hashtbl.find_opt inv.mem_conflicts k)
-  in
-  Hashtbl.replace inv.mem_conflicts k (Float.max old_d delta, max old_p wi)
+  let delta = Int.max 0 (prod_rel - cons_rel) in
+  let n = inv.n_conflicts in
+  let c = inv.conflicts in
+  if n > 0 && c.((3 * n) - 3) = k then begin
+    let j = (3 * n) - 3 in
+    c.(j + 1) <- Int.max c.(j + 1) delta;
+    c.(j + 2) <- Int.max c.(j + 2) wi
+  end
+  else begin
+    if 3 * (n + 1) > Array.length c then grow_conflicts inv;
+    let c = inv.conflicts and j = 3 * n in
+    c.(j) <- k;
+    c.(j + 1) <- delta;
+    c.(j + 2) <- wi;
+    inv.n_conflicts <- n + 1
+  end
 
 (* A read of a word last written at clock [w] conflicts in a tracking
    invocation iff the write happened during the invocation but before its
@@ -369,68 +420,76 @@ let rec track_index tracks phi_id i =
   else track_index tracks phi_id (i + 1)
 
 (* The innermost live invocation of function [fid] watching phi [phi_id],
-   with its track. *)
-let rec find_track fid phi_id = function
-  | [] -> None
+   or [dummy_inv] if none does. The track's index is left in [t.found]. *)
+let rec find_track t fid phi_id = function
+  | [] -> dummy_inv
   | (inv : inv) :: rest ->
       let i = if inv.fid = fid then track_index inv.tracks phi_id 0 else -1 in
-      if i >= 0 then Some (inv, inv.tracks.(i)) else find_track fid phi_id rest
+      if i >= 0 then begin
+        t.found <- i;
+        inv
+      end
+      else find_track t fid phi_id rest
 
 (* Observed dynamic envelope per header phi. Floats are skipped: the range
    analysis proves nothing about them (their interval is top anyway). Bools
    use the interpreter's own 0/1 integer encoding. *)
-let record_phi_obs t (fc : func_ctx) ~phi_id ~value =
-  let recorded =
-    match value with
-    | Interp.Rvalue.Vint v -> Some v
-    | Interp.Rvalue.Vbool b -> Some (if b then 1L else 0L)
-    | Interp.Rvalue.Vfloat _ -> None
-  in
-  match recorded with
-  | None -> ()
-  | Some v -> (
-      let key = (fc.fs.Classify.fname, phi_id) in
-      match Hashtbl.find_opt t.phi_obs key with
-      | None -> Hashtbl.replace t.phi_obs key (v, v)
-      | Some (lo, hi) ->
-          if v < lo || v > hi then Hashtbl.replace t.phi_obs key (min v lo, max v hi))
+let observe_phi (fc : func_ctx) phi_id (v : int64) =
+  let o = 16 * phi_id in
+  if Bytes.get fc.phi_seen phi_id = '\000' then begin
+    Bytes.set fc.phi_seen phi_id '\001';
+    Bytes.set_int64_le fc.phi_range o v;
+    Bytes.set_int64_le fc.phi_range (o + 8) v
+  end
+  else if v < Bytes.get_int64_le fc.phi_range o then Bytes.set_int64_le fc.phi_range o v
+  else if v > Bytes.get_int64_le fc.phi_range (o + 8) then
+    Bytes.set_int64_le fc.phi_range (o + 8) v
+
+let record_phi_obs (fc : func_ctx) ~phi_id ~value =
+  match value with
+  | Interp.Rvalue.Vint v -> observe_phi fc phi_id v
+  | Interp.Rvalue.Vbool b -> observe_phi fc phi_id (if b then 1L else 0L)
+  | Interp.Rvalue.Vfloat _ -> ()
 
 let on_header_phi t ~phi_id ~value ~clock:_ =
   let fc = current_func t in
-  record_phi_obs t fc ~phi_id ~value;
-  match find_track fc.fid phi_id t.stack with
-  | Some (inv, tr) ->
-      let k = cur_iter inv in
-      let hit =
-        Predictors.Hybrid.step (Option.get tr.predictor)
-          (Predictors.Hybrid.bits_of_rv value)
-      in
-      if k > 0 then begin
-        tr.n_instances <- tr.n_instances + 1;
-        if not hit then begin
-          tr.n_mispredicts <- tr.n_mispredicts + 1;
-          tr.pending_mispredict <- true;
-          tr.pending_iter <- k;
-          Ir.Vec.push tr.mispredict_iters k
-        end
+  record_phi_obs fc ~phi_id ~value;
+  let inv = find_track t fc.fid phi_id t.stack in
+  if inv != dummy_inv then begin
+    let tr = inv.tracks.(t.found) in
+    let k = cur_iter inv in
+    let hit =
+      Predictors.Hybrid.step (Option.get tr.predictor)
+        (Predictors.Hybrid.bits_of_rv value)
+    in
+    if k > 0 then begin
+      tr.n_instances <- tr.n_instances + 1;
+      if not hit then begin
+        tr.n_mispredicts <- tr.n_mispredicts + 1;
+        tr.pending_mispredict <- true;
+        tr.pending_iter <- k;
+        Ir.Vec.push tr.mispredict_iters k
       end
-  | None -> ()
+    end
+  end
 
-let rec time_defs stack fid ~clock = function
+let rec time_defs t fid ~clock = function
   | [] -> ()
   | phi_id :: rest ->
-      (match find_track fid phi_id stack with
-      | Some (inv, tr) -> tr.cur_def_rel <- clock - iter_start inv (cur_iter inv)
-      | None -> ());
-      time_defs stack fid ~clock rest
+      let inv = find_track t fid phi_id t.stack in
+      if inv != dummy_inv then
+        inv.tracks.(t.found).cur_def_rel <- clock - iter_start inv (cur_iter inv);
+      time_defs t fid ~clock rest
 
 let on_watched_def t ~instr_id ~clock =
   let fc = current_func t in
-  time_defs t.stack fc.fid ~clock fc.defs.(instr_id)
+  time_defs t fc.fid ~clock fc.defs.(instr_id)
 
 let on_watched_use t ~phi_id ~clock =
-  match find_track (current_func t).fid phi_id t.stack with
-  | Some (inv, tr) when not tr.use_seen ->
+  let inv = find_track t (current_func t).fid phi_id t.stack in
+  if inv != dummy_inv then begin
+    let tr = inv.tracks.(t.found) in
+    if not tr.use_seen then begin
       tr.use_seen <- true;
       let k = cur_iter inv in
       if k > 0 && tr.prev_def_rel >= 0 then begin
@@ -440,7 +499,8 @@ let on_watched_use t ~phi_id ~clock =
         if tr.pending_mispredict && tr.pending_iter = k then
           tr.max_delta_mispredict <- Float.max tr.max_delta_mispredict delta
       end
-  | Some _ | None -> ()
+    end
+  end
 
 let hooks_of t : Interp.Events.hooks =
   {
@@ -458,6 +518,22 @@ let hooks_of t : Interp.Events.hooks =
   }
 
 (* ---- the collected profile ---- *)
+
+(* (fname, phi_id) -> (min, max) integer value observed at any header
+   arrival, built once when the run ends. *)
+let phi_obs t : (string * int, int64 * int64) Hashtbl.t =
+  let obs = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun fname fc ->
+      Bytes.iteri
+        (fun phi_id seen ->
+          if seen <> '\000' then
+            Hashtbl.replace obs (fname, phi_id)
+              ( Bytes.get_int64_le fc.phi_range (16 * phi_id),
+                Bytes.get_int64_le fc.phi_range ((16 * phi_id) + 8) ))
+        fc.phi_seen)
+    t.funcs;
+  obs
 
 type profile = {
   ms : Classify.module_static;

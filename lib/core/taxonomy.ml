@@ -80,7 +80,7 @@ let add_profile (c : census) (p : Profile.profile) =
     (fun inv ->
       c.total_invocations <- c.total_invocations + 1;
       let n = Profile.n_iters inv in
-      let conflicting = Hashtbl.length inv.Profile.mem_conflicts in
+      let conflicting = inv.Profile.n_conflicts in
       if conflicting = 0 then c.mem_clean_loops <- c.mem_clean_loops + 1
       else if float_of_int conflicting >= frequent_fraction *. float_of_int n then
         c.mem_frequent_loops <- c.mem_frequent_loops + 1

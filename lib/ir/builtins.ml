@@ -59,7 +59,15 @@ let table : (string * signature) list =
       } );
   ]
 
-let find name = List.assoc_opt name table
+(* Built once from [table]; as with [List.assoc_opt], the first entry for
+   a name wins. Each binding holds its [Some], so a lookup allocates
+   nothing. *)
+let by_name =
+  let h = Hashtbl.create 16 in
+  List.iter (fun (n, s) -> if not (Hashtbl.mem h n) then Hashtbl.replace h n (Some s)) table;
+  h
+
+let find name = try Hashtbl.find by_name name with Not_found -> None
 
 let is_builtin name = find name <> None
 

@@ -13,7 +13,13 @@
      seen twice in a row, filtering one-off disturbances;
    - FCM (Sazeides & Smith, MICRO'97) predicts, once two values have been
      seen, the value that followed the context of the last two values the
-     last time it occurred. *)
+     last time it occurred.
+
+   A step allocates nothing unless FCM's table doubles: the history lives
+   unboxed in a [Bytes], read and compared at type [int64] in this module
+   (an [int64] stored in a record field would be boxed on every write), and
+   the hit counts are ints that reach the telemetry counters only when the
+   bank is flushed. *)
 
 type component = Last_value | Stride | Two_delta | Fcm
 
@@ -25,6 +31,19 @@ let name = function
   | Two_delta -> "2-delta"
   | Fcm -> "fcm-2"
 
+(* Byte offsets in [hist]. 2-delta keeps its adopted stride [delta] and a
+   candidate, the last delta seen (0 before any). A delta equal to the
+   stride clears the candidate: it then equals the stride, which stands for
+   none. A delta equal to the candidate is adopted; any other delta becomes
+   the candidate. *)
+let last_o = 0
+
+let prev_o = 8
+
+let delta_o = 16
+
+let candidate_o = 24
+
 type t = {
   (* the components this bank runs *)
   last_value : bool;
@@ -32,31 +51,82 @@ type t = {
   two_delta : bool;
   fcm : bool;
   mutable seen : int; (* values seen, saturating at 2 *)
-  mutable last : int64;
-  mutable prev : int64;
-  (* 2-delta's adopted stride and its candidate, kept as the last delta seen
-     (0 before any). A delta equal to the stride clears the candidate: it
-     then equals the stride, which stands for none. A delta equal to the
-     candidate is adopted; any other delta becomes the candidate. *)
-  mutable delta : int64;
-  mutable candidate : int64;
-  (* FCM: context -> the value that last followed it *)
-  contexts : (int, int64) Hashtbl.t;
+  hist : Bytes.t; (* last, prev, delta, candidate: 8 bytes each *)
+  (* FCM: the value that last followed each context written, in an
+     open-addressed table of [Array.length keys] slots (a power of two,
+     created at the first write). [keys.(i)] holds the context + 1, 0 when
+     the slot is empty; its value is at [8 * i] in [vals]. *)
+  mutable keys : int array;
+  mutable vals : Bytes.t;
+  mutable used : int; (* occupied slots, at most half of them *)
+  (* steps and hits since the last flush *)
+  mutable steps : int;
+  mutable lv_hits : int;
+  mutable st_hits : int;
+  mutable td_hits : int;
+  mutable fcm_hits : int;
+  mutable hybrid_hits : int;
 }
+
+let[@inline] get t o = Bytes.get_int64_le t.hist o
+
+let[@inline] set t o v = Bytes.set_int64_le t.hist o v
 
 (* FCM's order-2 context: the last two values hashed newest first, masked
    at each step to the 12 bits of a dense 4,096-slot table, so distinct
    contexts collide exactly as they would there. Only the slots a stream
    writes are stored: one LCD's stream touches a handful of contexts. *)
-let context last prev =
-  let mix v acc =
+let context t =
+  let golden = 0x9E3779B97F4A7C15L in
+  let h =
     Int64.to_int
-      (Int64.logand
-         (Int64.mul (Int64.logxor v (Int64.of_int acc)) 0x9E3779B97F4A7C15L)
-         Int64.max_int)
+      (Int64.logand (Int64.mul (Int64.logxor (get t last_o) 5381L) golden) Int64.max_int)
     land 0xfff
   in
-  mix prev (mix last 5381)
+  Int64.to_int
+    (Int64.logand
+       (Int64.mul (Int64.logxor (get t prev_o) (Int64.of_int h)) golden)
+       Int64.max_int)
+  land 0xfff
+
+(* The slot holding [ctx], or the empty slot where it would go. The table
+   is never full, so the probe ends. *)
+let rec slot keys key i =
+  let k = keys.(i) in
+  if k = key || k = 0 then i else slot keys key ((i + 1) land (Array.length keys - 1))
+
+(* Did [v] follow [ctx] the last time [ctx] occurred? *)
+let fcm_hit t ctx (v : int64) =
+  Array.length t.keys > 0
+  &&
+  let i = slot t.keys (ctx + 1) (ctx land (Array.length t.keys - 1)) in
+  t.keys.(i) <> 0 && Bytes.get_int64_le t.vals (8 * i) = v
+
+(* The only allocation on the step path: a fresh table of [n] slots holding
+   the old one's entries. *)
+let resize t n =
+  let keys = t.keys and vals = t.vals in
+  t.keys <- Array.make n 0;
+  t.vals <- Bytes.create (8 * n);
+  for i = 0 to Array.length keys - 1 do
+    let key = keys.(i) in
+    if key <> 0 then begin
+      let j = slot t.keys key ((key - 1) land (n - 1)) in
+      t.keys.(j) <- key;
+      Bytes.set_int64_le t.vals (8 * j) (Bytes.get_int64_le vals (8 * i))
+    end
+  done
+
+let fcm_write t ctx (v : int64) =
+  if Array.length t.keys = 0 then resize t 8;
+  let key = ctx + 1 in
+  let i = slot t.keys key (ctx land (Array.length t.keys - 1)) in
+  Bytes.set_int64_le t.vals (8 * i) v;
+  if t.keys.(i) = 0 then begin
+    t.keys.(i) <- key;
+    t.used <- t.used + 1;
+    if 2 * t.used > Array.length t.keys then resize t (2 * Array.length t.keys)
+  end
 
 (* A hits/misses counter pair per component and for the hybrid; every bump
    is a no-op while telemetry is disabled. *)
@@ -74,8 +144,6 @@ let c_fcm = counters (name Fcm)
 
 let c_hybrid = counters "hybrid"
 
-let count (hits, misses) hit = Obs.Telemetry.incr (if hit then hits else misses)
-
 let create ?(components = all) () =
   {
     last_value = List.mem Last_value components;
@@ -83,55 +151,82 @@ let create ?(components = all) () =
     two_delta = List.mem Two_delta components;
     fcm = List.mem Fcm components;
     seen = 0;
-    last = 0L;
-    prev = 0L;
-    delta = 0L;
-    candidate = 0L;
-    contexts = Hashtbl.create 8;
+    hist = Bytes.make 32 '\000';
+    keys = [||];
+    vals = Bytes.empty;
+    used = 0;
+    steps = 0;
+    lv_hits = 0;
+    st_hits = 0;
+    td_hits = 0;
+    fcm_hits = 0;
+    hybrid_hits = 0;
   }
 
 let reset t =
   t.seen <- 0;
-  t.delta <- 0L;
-  t.candidate <- 0L;
-  Hashtbl.reset t.contexts
+  set t delta_o 0L;
+  set t candidate_o 0L;
+  Array.fill t.keys 0 (Array.length t.keys) 0;
+  t.used <- 0
+
+let flush_pair (hits, misses) h n =
+  Obs.Telemetry.add hits h;
+  Obs.Telemetry.add misses (n - h)
+
+let flush t =
+  let n = t.steps in
+  if n > 0 then begin
+    if t.last_value then flush_pair c_last_value t.lv_hits n;
+    if t.stride then flush_pair c_stride t.st_hits n;
+    if t.two_delta then flush_pair c_two_delta t.td_hits n;
+    if t.fcm then flush_pair c_fcm t.fcm_hits n;
+    flush_pair c_hybrid t.hybrid_hits n;
+    t.steps <- 0;
+    t.lv_hits <- 0;
+    t.st_hits <- 0;
+    t.td_hits <- 0;
+    t.fcm_hits <- 0;
+    t.hybrid_hits <- 0
+  end
 
 (* Every enabled component predicts [v] before any component trains on it,
-   and each is counted (no short-circuit), so per-component counters stay
+   and each is counted (no short-circuit), so per-component counts stay
    meaningful. *)
 let step t (v : int64) : bool =
-  let seen = t.seen and last = t.last and prev = t.prev in
-  let lv = t.last_value && seen > 0 && Int64.equal v last in
+  let seen = t.seen in
+  let last = get t last_o in
+  let lv = t.last_value && seen > 0 && v = last in
   let st =
     t.stride && seen > 0
-    && Int64.equal v (if seen = 1 then last else Int64.add last (Int64.sub last prev))
+    && v = (if seen = 1 then last else Int64.add last (Int64.sub last (get t prev_o)))
   in
-  let td = t.two_delta && seen > 0 && Int64.equal v (Int64.add last t.delta) in
-  let ctx = if t.fcm && seen = 2 then context last prev else -1 in
-  let fcm =
-    ctx >= 0
-    && match Hashtbl.find_opt t.contexts ctx with Some g -> Int64.equal g v | None -> false
-  in
+  let td = t.two_delta && seen > 0 && v = Int64.add last (get t delta_o) in
+  let ctx = if t.fcm && seen = 2 then context t else -1 in
+  let fcm = ctx >= 0 && fcm_hit t ctx v in
   let hit = lv || st || td || fcm in
-  if t.last_value then count c_last_value lv;
-  if t.stride then count c_stride st;
-  if t.two_delta then count c_two_delta td;
-  if t.fcm then count c_fcm fcm;
-  count c_hybrid hit;
-  if ctx >= 0 then Hashtbl.replace t.contexts ctx v;
+  t.steps <- t.steps + 1;
+  if lv then t.lv_hits <- t.lv_hits + 1;
+  if st then t.st_hits <- t.st_hits + 1;
+  if td then t.td_hits <- t.td_hits + 1;
+  if fcm then t.fcm_hits <- t.fcm_hits + 1;
+  if hit then t.hybrid_hits <- t.hybrid_hits + 1;
+  if ctx >= 0 then fcm_write t ctx v;
   if t.two_delta && seen > 0 then begin
     let d = Int64.sub v last in
-    if Int64.equal d t.candidate then t.delta <- t.candidate;
-    t.candidate <- d
+    if d = get t candidate_o then set t delta_o d;
+    set t candidate_o d
   end;
-  t.prev <- last;
-  t.last <- v;
+  set t prev_o last;
+  set t last_o v;
   if seen < 2 then t.seen <- seen + 1;
   hit
 
 let hits t stream =
   reset t;
-  List.map (step t) stream
+  let hs = List.map (step t) stream in
+  flush t;
+  hs
 
 (* Bit image of a runtime value, the currency predictors work in: the
    payload the interpreter stores for it. *)

@@ -20,14 +20,21 @@ type t
     run subsets). *)
 val create : ?components:component list -> unit -> t
 
-(** Restore a fresh bank. *)
+(** Restore a fresh bank's predictions. Counts not yet flushed stay. *)
 val reset : t -> unit
 
 (** Was the next value predicted by any enabled component? Every component
-    predicts before any trains on it. *)
+    predicts before any trains on it. The step is counted in the bank; it
+    allocates only when FCM's table of written contexts doubles. *)
 val step : t -> int64 -> bool
 
-(** Per-element hit flags over a whole stream (resets first). *)
+(** Add the bank's hits and misses since the last flush to the
+    [predictor.*] counters (those of its enabled components and the
+    hybrid's), then zero them. *)
+val flush : t -> unit
+
+(** Per-element hit flags over a whole stream (resets first, flushes
+    after). *)
 val hits : t -> int64 list -> bool list
 
 (** The 64-bit image predictors work in (floats by bit pattern). *)

@@ -1,7 +1,8 @@
 (* A fingerprint of everything the profile listener records, per registered
    program: for every invocation its identity, iteration start stamps, end
-   clock, sorted memory conflicts, RAW count, call mask and per-track counts,
-   deltas and mispredicted iterations, plus the observed header-phi ranges.
+   clock, memory conflicts in consumer order, RAW count, call mask and
+   per-track counts, deltas and mispredicted iterations, plus the observed
+   header-phi ranges.
    Floats are printed by bit pattern, so any change in what the listener
    computes shows as a changed digest. Runs stop at a fixed fuel cap: the
    profile of a truncated run is as well formed as a complete one. *)
@@ -22,9 +23,9 @@ let digest_of_profile (p : Loopa.Profile.profile) : string =
       add "iters";
       Ir.Vec.iter (fun s -> add " %d" s) inv.Loopa.Profile.iter_starts;
       add "\nconflicts";
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) inv.Loopa.Profile.mem_conflicts []
-      |> List.sort compare
-      |> List.iter (fun (k, (d, prod)) -> add " %d:%h:%d" k d prod);
+      List.iter
+        (fun (k, d, prod) -> add " %d:%h:%d" k (float_of_int d) prod)
+        (Loopa.Profile.conflict_list inv);
       add "\n";
       Array.iter
         (fun (tr : Loopa.Profile.reg_track) ->

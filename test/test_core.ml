@@ -165,15 +165,15 @@ let raw_summary (p : Loopa.Profile.profile) =
     (Array.map
        (fun (inv : Loopa.Profile.inv) ->
          let conflicts =
-           Hashtbl.fold
-             (fun k (delta, prod) acc ->
+           List.map
+             (fun (k, delta, prod) ->
                Alcotest.(check bool)
                  (Printf.sprintf "delta at iteration %d is positive" k)
-                 true (delta > 0.0);
-               (k, prod) :: acc)
-             inv.Loopa.Profile.mem_conflicts []
+                 true (delta > 0);
+               (k, prod))
+             (Loopa.Profile.conflict_list inv)
          in
-         (inv.Loopa.Profile.n_mem_deps, List.sort compare conflicts))
+         (inv.Loopa.Profile.n_mem_deps, conflicts))
        p.Loopa.Profile.invs)
 
 let check_raw name src expected =
@@ -323,13 +323,56 @@ fn main() -> int {
       Alcotest.(check string) "failure class" "trap:out_of_bounds"
         (Loopa.Driver.fingerprint_class f.Loopa.Driver.fingerprint)
 
+(* What one profiling run of the digest pass leaves for the checks below. *)
+type pass = {
+  profile_digest : string;
+  evaluate_digest : string;
+  counted : int * int; (* predictor.hybrid.hits and .misses the run added *)
+  expected : int * int; (* the same, from the profile's tracks *)
+}
+
+let hybrid_counter outcome = Obs.Telemetry.counter ("predictor.hybrid." ^ outcome)
+
+let hybrid_counts () =
+  (Obs.Telemetry.value (hybrid_counter "hits"), Obs.Telemetry.value (hybrid_counter "misses"))
+
+(* Per track, the bank hits on every predicted instance and misses on every
+   mispredicted one and on the first header arrival, which is no instance:
+   no component predicts before it has seen a value. *)
+let expected_hybrid_counts (p : Loopa.Profile.profile) =
+  Array.fold_left
+    (fun acc (inv : Loopa.Profile.inv) ->
+      Array.fold_left
+        (fun (hits, misses) (tr : Loopa.Profile.reg_track) ->
+          ( hits + tr.Loopa.Profile.n_instances - tr.Loopa.Profile.n_mispredicts,
+            misses + tr.Loopa.Profile.n_mispredicts + 1 ))
+        acc inv.Loopa.Profile.tracks)
+    (0, 0) p.Loopa.Profile.invs
+
 (* One pass over the 5M-fuel profiles (every registered program, with and
    without static pruning) feeds two goldens: the digest of each profile and
-   the digest of every report [Evaluate] makes from it. *)
+   the digest of every report [Evaluate] makes from it. Telemetry is on, so
+   the pass also records what each run added to the hybrid's counters;
+   nothing else bumps them between two runs. *)
 let digests =
   lazy
-    (Profile_digest.map_profiles (fun p ->
-         (Profile_digest.digest_of_profile p, Evaluate_digest.digest_of_reports p)))
+    (Obs.Telemetry.enable ();
+     Fun.protect
+       ~finally:(fun () ->
+         Obs.Telemetry.reset ();
+         Obs.Telemetry.disable ())
+       (fun () ->
+         let last = ref (hybrid_counts ()) in
+         Profile_digest.map_profiles (fun p ->
+             let ((hits, misses) as now) = hybrid_counts () in
+             let counted = (hits - fst !last, misses - snd !last) in
+             last := now;
+             {
+               profile_digest = Profile_digest.digest_of_profile p;
+               evaluate_digest = Evaluate_digest.digest_of_reports p;
+               counted;
+               expected = expected_hybrid_counts p;
+             })))
 
 (* The digests [pick] selects must match [golden/<name>.json] bit for bit. *)
 let check_golden name pick =
@@ -339,9 +382,115 @@ let check_golden name pick =
           (fun (prog, ds) -> (prog, List.map (fun (sp, d) -> (sp, pick d)) ds))
           (Lazy.force digests)))
 
-let test_profile_digests () = check_golden "profile_digests" fst
+let test_profile_digests () = check_golden "profile_digests" (fun d -> d.profile_digest)
 
-let test_evaluate_digests () = check_golden "evaluate_digests" snd
+let test_evaluate_digests () = check_golden "evaluate_digests" (fun d -> d.evaluate_digest)
+
+(* Banks count in place and publish at loop exit, so the counters must
+   still add up to the profile's tracks: over the digest pass, whose runs
+   all complete, and over runs cut by fuel, whose open invocations the
+   machine closes. *)
+let test_hybrid_counters () =
+  let check what expected counted =
+    Alcotest.(check (pair int int)) (what ^ ": hybrid hits, misses") expected counted
+  in
+  List.iter
+    (fun (prog, ds) ->
+      List.iter
+        (fun (static_prune, d) ->
+          check (Printf.sprintf "%s (static_prune %b)" prog static_prune) d.expected d.counted)
+        ds)
+    (Lazy.force digests);
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.reset ();
+      Obs.Telemetry.disable ())
+    (fun () ->
+      List.iter
+        (fun name ->
+          let ms = classify (Option.get (Suites.Suite.find name)).Suites.Suite.source in
+          let hits, misses = hybrid_counts () in
+          let p = Loopa.Driver.profile_module ~fuel:50_000 ms in
+          Alcotest.(check bool) (name ^ " truncated") true p.Loopa.Profile.truncated;
+          let hits', misses' = hybrid_counts () in
+          check (name ^ " at fuel 50,000") (expected_hybrid_counts p)
+            (hits' - hits, misses' - misses))
+        [ "181_mcf"; "254_gap"; "164_gzip"; "456_hmmer"; "255_vortex" ])
+
+(* A trap inside a loop never exits it, so the driver publishes the banks
+   of the invocations still open, whether the run comes back as a failure
+   or raises. [s] takes eight values no component predicts before the
+   division by zero at clock 103. *)
+let trap_in_loop =
+  {|
+fn main() -> int {
+  var s: int = 1;
+  var z: int = 7;
+  for (var i: int = 0; i < 100; i = i + 1) {
+    s = (s * 7 + i) % 1000;
+    if (i == 7) { s = s / (i - z); }
+  }
+  print_int(s);
+  return 0;
+}
+|}
+
+let test_counters_after_trap () =
+  let ms = classify trap_in_loop in
+  let names = List.map Predictors.Hybrid.name Predictors.Hybrid.all @ [ "hybrid" ] in
+  let counts outcome =
+    List.map
+      (fun n -> Obs.Telemetry.value (Obs.Telemetry.counter ("predictor." ^ n ^ "." ^ outcome)))
+      names
+  in
+  let check what =
+    Alcotest.(check (list int)) (what ^ ": misses") [ 8; 8; 8; 8; 8 ] (counts "misses");
+    Alcotest.(check (list int)) (what ^ ": hits") [ 0; 0; 0; 0; 0 ] (counts "hits")
+  in
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.reset ();
+      Obs.Telemetry.disable ())
+    (fun () ->
+      Obs.Telemetry.reset ();
+      (match Loopa.Driver.profile_result ms with
+      | Ok _ -> Alcotest.fail "expected a division-by-zero trap"
+      | Error f ->
+          Alcotest.(check string) "failure" "trap:div_by_zero@103"
+            f.Loopa.Driver.fingerprint);
+      check "profile_result";
+      Obs.Telemetry.reset ();
+      (match Loopa.Driver.profile_module ms with
+      | _ -> Alcotest.fail "expected a division-by-zero trap"
+      | exception Interp.Rvalue.Trap (Interp.Rvalue.Div_by_zero, _) -> ());
+      check "profile_module")
+
+(* Heap words the listener allocates per retired instruction: a profiled
+   run at default budgets minus the unhooked run of the same program,
+   counted exactly. Beyond the header-phi values the machine boxes for it,
+   the listener allocates per invocation (its records and banks), per call
+   (a stack cell) and when a table grows. These programs read 3.1, 1.2 and
+   0.1; with a boxed predictor history, hashed conflict and phi tables and
+   an option per track lookup they read 6.0, 2.7 and 1.6. *)
+let test_listener_alloc () =
+  List.iter
+    (fun (name, ceiling) ->
+      let ms = classify (Option.get (Suites.Suite.find name)).Suites.Suite.source in
+      let before = Alloc_words.words () in
+      let out = Interp.Machine.run_main (Interp.Machine.create ms.Loopa.Classify.modul) in
+      let unhooked = Alloc_words.words () -. before in
+      let before = Alloc_words.words () in
+      let p = Loopa.Driver.profile_module ms in
+      let profiled = Alloc_words.words () -. before in
+      Alcotest.(check int) (name ^ ": same run") out.Interp.Machine.clock
+        p.Loopa.Profile.total_cost;
+      let per_instr = (profiled -. unhooked) /. float_of_int out.Interp.Machine.clock in
+      if per_instr > ceiling then
+        Alcotest.failf "%s: the listener allocates %.2f words per instruction, ceiling %.1f"
+          name per_instr ceiling)
+    [ ("255_vortex", 4.0); ("179_art", 1.6); ("171_swim", 0.6) ]
 
 (* ---- end-to-end evaluation semantics ---- *)
 
@@ -591,6 +740,12 @@ let () =
           Alcotest.test_case "structure" `Quick test_profile_structure;
           Alcotest.test_case "digests match golden" `Slow test_profile_digests;
           Alcotest.test_case "evaluate digests match golden" `Slow test_evaluate_digests;
+          Alcotest.test_case "predictor counters match the profile" `Slow
+            test_hybrid_counters;
+          Alcotest.test_case "predictor counters after a trap" `Quick
+            test_counters_after_trap;
+          Alcotest.test_case "listener allocation per instruction" `Quick
+            test_listener_alloc;
         ] );
       ( "raw",
         [

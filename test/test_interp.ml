@@ -587,22 +587,20 @@ let test_malformed_taken () =
     malformed_cases
 
 (* Heap words the engine allocates per retired instruction on an unhooked,
-   default-fuel run, counted as minor + major - promoted so a promoted
-   word is not counted twice. Registers and memory words are unboxed, so
-   what remains is per call (a fresh slab) and per allocation. *)
+   default-fuel run, counted exactly ([Alloc_words]). Registers and memory
+   words are unboxed, so what remains is per call (a fresh slab) and per
+   allocation. *)
 let test_alloc_per_instruction () =
   List.iter
     (fun name ->
       let b = Option.get (Suites.Suite.find name) in
       let m = Frontend.compile_exn b.Suites.Suite.source in
       Cfg.Loop_simplify.run_module m;
-      let words () =
-        let minor, promoted, major = Gc.counters () in
-        minor +. major -. promoted
-      in
-      let before = words () in
+      let before = Alloc_words.words () in
       let out = Interp.Machine.run_main (Interp.Machine.create m) in
-      let per_instr = (words () -. before) /. float_of_int out.Interp.Machine.clock in
+      let per_instr =
+        (Alloc_words.words () -. before) /. float_of_int out.Interp.Machine.clock
+      in
       check_stop (name ^ " completes") Interp.Machine.Completed out;
       if per_instr > 0.5 then
         Alcotest.failf "%s: %.2f words allocated per instruction, ceiling 0.5" name
