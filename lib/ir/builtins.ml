@@ -64,7 +64,7 @@ let table : (string * signature) list =
    nothing. *)
 let by_name =
   let h = Hashtbl.create 16 in
-  List.iter (fun (n, s) -> if not (Hashtbl.mem h n) then Hashtbl.replace h n (Some s)) table;
+  List.iter (fun (n, s) -> if not (Hashtbl.mem h n) then Hashtbl.add h n (Some s)) table;
   h
 
 let find name = try Hashtbl.find by_name name with Not_found -> None
