@@ -12,13 +12,14 @@
    WAR/WAW are never recorded: the study assumes lazy versioning with
    in-order commit (paper §II-D).
 
-   The listener's cost follows the work it records, and an event hashes
-   nothing. Writes cost one array store; a read costs one array load plus a
-   walk over the live invocations that started after the word was last
-   written. A conflict updates or appends one int triple. A predictor bank
-   lives only while its invocation does, and its hit counts reach the
-   telemetry counters when the invocation exits (or, after a trap, when
-   the driver flushes the invocations still open). *)
+   The listener's cost follows the work it records. Only call events
+   hash: the hook names the function, user or builtin. Writes cost one
+   array store; a read costs one array load plus a walk over the live
+   invocations that started after the word was last written. A conflict
+   updates or appends one int triple. A predictor bank lives only while
+   its invocation does, and its hit counts reach the telemetry counters
+   when the invocation exits (or, after a trap, when the driver flushes
+   the invocations still open). *)
 
 type reg_track = {
   phi_id : int;

@@ -331,6 +331,15 @@ type pass = {
   expected : int * int; (* the same, from the profile's tracks *)
 }
 
+(* Run [f] with telemetry recording; it is left reset and disabled. *)
+let with_telemetry f =
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.reset ();
+      Obs.Telemetry.disable ())
+    f
+
 let hybrid_counter outcome = Obs.Telemetry.counter ("predictor.hybrid." ^ outcome)
 
 let hybrid_counts () =
@@ -356,12 +365,7 @@ let expected_hybrid_counts (p : Loopa.Profile.profile) =
    nothing else bumps them between two runs. *)
 let digests =
   lazy
-    (Obs.Telemetry.enable ();
-     Fun.protect
-       ~finally:(fun () ->
-         Obs.Telemetry.reset ();
-         Obs.Telemetry.disable ())
-       (fun () ->
+    (with_telemetry (fun () ->
          let last = ref (hybrid_counts ()) in
          Profile_digest.map_profiles (fun p ->
              let ((hits, misses) as now) = hybrid_counts () in
@@ -401,12 +405,7 @@ let test_hybrid_counters () =
           check (Printf.sprintf "%s (static_prune %b)" prog static_prune) d.expected d.counted)
         ds)
     (Lazy.force digests);
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.reset ();
-      Obs.Telemetry.disable ())
-    (fun () ->
+  with_telemetry (fun () ->
       List.iter
         (fun name ->
           let ms = classify (Option.get (Suites.Suite.find name)).Suites.Suite.source in
@@ -448,12 +447,7 @@ let test_counters_after_trap () =
     Alcotest.(check (list int)) (what ^ ": misses") [ 8; 8; 8; 8; 8 ] (counts "misses");
     Alcotest.(check (list int)) (what ^ ": hits") [ 0; 0; 0; 0; 0 ] (counts "hits")
   in
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.reset ();
-      Obs.Telemetry.disable ())
-    (fun () ->
+  with_telemetry (fun () ->
       Obs.Telemetry.reset ();
       (match Loopa.Driver.profile_result ms with
       | Ok _ -> Alcotest.fail "expected a division-by-zero trap"
