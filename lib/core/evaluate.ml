@@ -201,10 +201,9 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
     let overall_scale = if raw_total > 0.0 then serial_reduced /. raw_total else 1.0 in
     (* Memory conflicts apply under every model. *)
     let merged = ref (inv.Profile.n_conflicts > 0) in
-    let conflicts = inv.Profile.conflicts in
     for i = 0 to inv.Profile.n_conflicts - 1 do
-      let k = conflicts.(3 * i) and prod = conflicts.((3 * i) + 2) in
-      let delta = float_of_int conflicts.((3 * i) + 1) in
+      let k = Profile.conflict_iter inv i and prod = Profile.conflict_prod inv i in
+      let delta = float_of_int (Profile.conflict_delta inv i) in
       let delta =
         if knobs.helix_distance_normalized && k > prod then
           delta /. float_of_int (k - prod)

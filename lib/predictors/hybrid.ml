@@ -31,18 +31,13 @@ let name = function
   | Two_delta -> "2-delta"
   | Fcm -> "fcm-2"
 
-(* Byte offsets in [hist]. 2-delta keeps its adopted stride [delta] and a
-   candidate, the last delta seen (0 before any). A delta equal to the
-   stride clears the candidate: it then equals the stride, which stands for
-   none. A delta equal to the candidate is adopted; any other delta becomes
-   the candidate. *)
+(* Byte offsets in [hist]: the last two values and 2-delta's adopted
+   stride. *)
 let last_o = 0
 
 let prev_o = 8
 
 let delta_o = 16
-
-let candidate_o = 24
 
 type t = {
   (* the components this bank runs *)
@@ -51,7 +46,7 @@ type t = {
   two_delta : bool;
   fcm : bool;
   mutable seen : int; (* values seen, saturating at 2 *)
-  hist : Bytes.t; (* last, prev, delta, candidate: 8 bytes each *)
+  hist : Bytes.t; (* last, prev, delta: 8 bytes each *)
   (* FCM: the value that last followed each context written, in an
      open-addressed table of [Array.length keys] slots (a power of two,
      created at the first write). [keys.(i)] holds the context + 1, 0 when
@@ -151,7 +146,7 @@ let create ?(components = all) () =
     two_delta = List.mem Two_delta components;
     fcm = List.mem Fcm components;
     seen = 0;
-    hist = Bytes.make 32 '\000';
+    hist = Bytes.make 24 '\000';
     keys = [||];
     vals = Bytes.empty;
     used = 0;
@@ -166,7 +161,6 @@ let create ?(components = all) () =
 let reset t =
   t.seen <- 0;
   set t delta_o 0L;
-  set t candidate_o 0L;
   Array.fill t.keys 0 (Array.length t.keys) 0;
   t.used <- 0
 
@@ -196,11 +190,11 @@ let flush t =
 let step t (v : int64) : bool =
   let seen = t.seen in
   let last = get t last_o in
+  (* the last delta seen, 0 before two values: stride's prediction adds it,
+     and 2-delta adopts a delta equal to it *)
+  let s = if seen = 2 then Int64.sub last (get t prev_o) else 0L in
   let lv = t.last_value && seen > 0 && v = last in
-  let st =
-    t.stride && seen > 0
-    && v = (if seen = 1 then last else Int64.add last (Int64.sub last (get t prev_o)))
-  in
+  let st = t.stride && seen > 0 && v = Int64.add last s in
   let td = t.two_delta && seen > 0 && v = Int64.add last (get t delta_o) in
   let ctx = if t.fcm && seen = 2 then context t else -1 in
   let fcm = ctx >= 0 && fcm_hit t ctx v in
@@ -212,11 +206,7 @@ let step t (v : int64) : bool =
   if fcm then t.fcm_hits <- t.fcm_hits + 1;
   if hit then t.hybrid_hits <- t.hybrid_hits + 1;
   if ctx >= 0 then fcm_write t ctx v;
-  if t.two_delta && seen > 0 then begin
-    let d = Int64.sub v last in
-    if d = get t candidate_o then set t delta_o d;
-    set t candidate_o d
-  end;
+  if t.two_delta && seen > 0 && Int64.sub v last = s then set t delta_o s;
   set t prev_o last;
   set t last_o v;
   if seen < 2 then t.seen <- seen + 1;

@@ -23,9 +23,12 @@ let digest_of_profile (p : Loopa.Profile.profile) : string =
       add "iters";
       Ir.Vec.iter (fun s -> add " %d" s) inv.Loopa.Profile.iter_starts;
       add "\nconflicts";
-      List.iter
-        (fun (k, d, prod) -> add " %d:%h:%d" k (float_of_int d) prod)
-        (Loopa.Profile.conflict_list inv);
+      for i = 0 to inv.Loopa.Profile.n_conflicts - 1 do
+        add " %d:%h:%d"
+          (Loopa.Profile.conflict_iter inv i)
+          (float_of_int (Loopa.Profile.conflict_delta inv i))
+          (Loopa.Profile.conflict_prod inv i)
+      done;
       add "\n";
       Array.iter
         (fun (tr : Loopa.Profile.reg_track) ->

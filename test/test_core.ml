@@ -165,13 +165,13 @@ let raw_summary (p : Loopa.Profile.profile) =
     (Array.map
        (fun (inv : Loopa.Profile.inv) ->
          let conflicts =
-           List.map
-             (fun (k, delta, prod) ->
+           List.init inv.Loopa.Profile.n_conflicts (fun i ->
+               let k = Loopa.Profile.conflict_iter inv i in
                Alcotest.(check bool)
                  (Printf.sprintf "delta at iteration %d is positive" k)
-                 true (delta > 0);
-               (k, prod))
-             (Loopa.Profile.conflict_list inv)
+                 true
+                 (Loopa.Profile.conflict_delta inv i > 0);
+               (k, Loopa.Profile.conflict_prod inv i))
          in
          (inv.Loopa.Profile.n_mem_deps, conflicts))
        p.Loopa.Profile.invs)
