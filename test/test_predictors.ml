@@ -206,7 +206,7 @@ let test_bits_of_rv () =
 (* Heap words per bank creation and per step, counted exactly
    ([Alloc_words]). A bank is created per tracked LCD per loop invocation
    and steps once per header arrival, so both are on the listener's path;
-   the default bank measures 22 words, and a step allocates only when
+   the default bank measures 21 words, and a step allocates only when
    FCM's table doubles: 4.9 words per step over these five streams, three
    of which bring a new context at almost every step. *)
 let test_alloc_ceiling () =
