@@ -16,10 +16,9 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* Sections run guarded: a failure mid-harness still produces the
-   remaining sections and the BENCH snapshot, but the perf-trajectory
-   append is withheld (see [write_bench_snapshot]) — a partial run's
-   numbers must not enter BENCH_history.jsonl as if they were a full
-   one. *)
+   remaining sections and the BENCH snapshot, and then the harness exits 1
+   — a failed section's snapshot key holds zeros or nothing, which must
+   not read as a measurement. *)
 let section_failures : string list ref = ref []
 
 let guarded name f =
@@ -82,87 +81,6 @@ let () =
     Printf.printf
       "(single-core host: every forked job shares one core, so speedups are \
        capped below 1x by fork overhead)\n%!"
-
-(* ---- chaos supervision: seeded fault injection under the fork pool ----
-
-   Also before [analyses], for the same copy-on-write reason. Runs the
-   cfp2000 campaign under a fixed fault seed and records planned-vs-
-   observed fault counts plus the pool's counters (respawns, watchdog
-   timeouts) in the BENCH snapshot. *)
-
-let chaos_results : Util.Json.t ref = ref Util.Json.Null
-
-let () =
-  guarded "chaos" @@ fun () ->
-  let seed = 29 and watchdog = 3.0 in
-  section
-    (Printf.sprintf "Chaos — cfp2000 campaign under seeded fault injection (seed %d)"
-       seed);
-  let targets =
-    List.filter
-      (fun (b : Suites.Suite.benchmark) -> b.Suites.Suite.category = Suites.Suite.Fp2000)
-      (Suites.Suite.all ())
-    |> List.map (fun (b : Suites.Suite.benchmark) -> (b.Suites.Suite.name, b.Suites.Suite.source))
-  in
-  let n = List.length targets in
-  let plan = Exec.Chaos.seeded seed in
-  let counters =
-    List.map
-      (fun name -> (name, Obs.Telemetry.counter ("pool." ^ name)))
-      [ "respawns"; "timeouts" ]
-  in
-  let baseline = List.map (fun (k, c) -> (k, Obs.Telemetry.value c)) counters in
-  let budgets =
-    {
-      Campaign.Runner.default_budgets with
-      Campaign.Runner.fuel = 2_000_000;
-      watchdog_s = Some watchdog;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let s =
-    Campaign.Runner.run ~budgets ~executor:(Campaign.Runner.Forked 2) ~chaos:plan
-      ~log:(fun _ -> ()) targets
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  assert (List.length s.Campaign.Runner.results = n);
-  let lost, timed_out =
-    List.fold_left
-      (fun (l, t) (r : Campaign.Runner.result) ->
-        match r.Campaign.Runner.status with
-        | Campaign.Runner.Errored (Campaign.Runner.Worker_lost _) -> (l + 1, t)
-        | Campaign.Runner.Errored (Campaign.Runner.Task_timeout _) -> (l, t + 1)
-        | _ -> (l, t))
-      (0, 0) s.Campaign.Runner.results
-  in
-  let deltas =
-    List.map
-      (fun (k, c) -> (k, Obs.Telemetry.value c - List.assoc k baseline))
-      counters
-  in
-  Printf.printf "planned: %s\n" (Exec.Chaos.summary plan ~n);
-  Printf.printf
-    "observed: %d completed, %d lost, %d timed out in %.2fs\n"
-    s.Campaign.Runner.n_completed lost timed_out wall;
-  Printf.printf "supervision: %s\n%!"
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) deltas));
-  chaos_results :=
-    Util.Json.Obj
-      ([
-         ("seed", Util.Json.Int seed);
-         ("targets", Util.Json.Int n);
-         ("watchdog_s", Util.Json.Float watchdog);
-         ("wall_s", Util.Json.Float wall);
-         ( "planned",
-           Util.Json.Obj
-             (List.map
-                (fun (k, v) -> (k, Util.Json.Int v))
-                (Exec.Chaos.planned_counts plan ~n)) );
-         ("lost", Util.Json.Int lost);
-         ("timed_out", Util.Json.Int timed_out);
-       ]
-      @ List.map (fun (k, v) -> (k, Util.Json.Int v)) deltas)
 
 (* ---- guarded parallel DOALL execution: measured vs predicted ----
 
@@ -688,7 +606,6 @@ let write_bench_snapshot () =
                          ])
                      !scaling_results) );
             ] );
-        ("chaos", !chaos_results);
         ("parrun", !parrun_results);
         ( "lint",
           let files, diags, wall = !lint_results in
@@ -711,38 +628,7 @@ let write_bench_snapshot () =
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Util.Json.to_string j);
       output_char oc '\n');
-  (* every *complete* run also appends to the perf trajectory, one JSONL
-     line per run, for `loopapalooza perfdiff --history
-     BENCH_history.jsonl`; a run with a failed section keeps its
-     diagnostic snapshot but must not enter the history as a data point
-     — its missing spans would read as a spurious speedup. *)
-  match !section_failures with
-  | _ :: _ as fails ->
-      Printf.printf
-        "\nper-stage perf snapshot (spans + counters): %s\n\
-         BENCH_history.jsonl append skipped: section(s) failed partway (%s)\n"
-        path
-        (String.concat ", " (List.rev fails))
-  | [] ->
-      let with_stamp =
-        match j with
-        | Util.Json.Obj fields ->
-            Util.Json.Obj
-              (("recorded_unix", Util.Json.Float (Unix.gettimeofday ())) :: fields)
-        | j -> j
-      in
-      let oc =
-        open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644
-          "BENCH_history.jsonl"
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Util.Json.to_string with_stamp);
-          output_char oc '\n');
-      Printf.printf
-        "\nper-stage perf snapshot (spans + counters): %s (+ BENCH_history.jsonl)\n"
-        path
+  Printf.printf "\nper-stage perf snapshot (spans + counters): %s\n" path
 
 let () =
   guarded "table1" table1;
@@ -755,4 +641,9 @@ let () =
   guarded "lint" lint_throughput;
   if Array.exists (( = ) "--ablation") Sys.argv then guarded "ablations" ablations;
   write_bench_snapshot ();
-  print_endline "\ndone."
+  match !section_failures with
+  | [] -> print_endline "\ndone."
+  | fails ->
+      Printf.printf "\nsection(s) failed: %s\n"
+        (String.concat ", " (List.rev fails));
+      exit 1

@@ -6,7 +6,6 @@
      loopapalooza sweep <file|bench>       — the full Figure-2/3 config ladder
      loopapalooza parrun <targets..>       — guarded parallel DOALL execution
      loopapalooza campaign <targets..>     — fault-tolerant whole-suite runs
-     loopapalooza chaos [targets..]        — seeded fault-injection soak
      loopapalooza repro show|replay|shrink — crash-repro bundles
      loopapalooza census <file|bench>      — Table-I census of the program
      loopapalooza dump-ir <file|bench>     — canonicalized SSA dump
@@ -14,12 +13,13 @@
 
    Exit codes: 0 success; 1 compile/runtime error in the target program
    (for `lint`: any error-severity diagnostic);
-   2 usage error (bad configuration, unknown target, bad flags);
+   2 usage error (bad configuration, unknown target, bad flags) or
+   system error (an unusable --cache directory, a checkpoint on a full
+   disk);
    3 unexpected internal error (classified and printed, never a raw
    backtrace). `repro replay` adds 4 (failure vanished) and 5 (failure
    changed fingerprint). `campaign` adds 6 (interrupted by
-   SIGINT/SIGTERM — checkpointed work is flushed and resumable). For
-   `chaos`, 1 means a supervision invariant was violated. *)
+   SIGINT/SIGTERM — checkpointed work is flushed and resumable). *)
 
 open Cmdliner
 
@@ -140,7 +140,7 @@ let telemetry_term =
     const (fun trace metrics prom -> { trace; metrics; prom })
     $ trace $ metrics $ prom)
 
-(* ---- parallelism (campaign / chaos) ---- *)
+(* ---- parallelism (campaign) ---- *)
 
 let jobs_arg =
   Arg.(
@@ -545,7 +545,7 @@ let parrun_result_json target (r : Parrun.Guard.result) : Util.Json.t =
 
 let parrun_cmd =
   let run targets all fuel jobs min_trip quarantine_path repro_dir watchdog
-      chaos_seed no_predict fail_on_quarantine json telemetry =
+      no_predict fail_on_quarantine json telemetry =
     handle_errors_int (fun () ->
         with_telemetry telemetry (fun () ->
             let targets =
@@ -561,7 +561,6 @@ let parrun_cmd =
                 Parrun.Runner.jobs;
                 min_trip;
                 watchdog_s = watchdog;
-                chaos = Option.map Exec.Chaos.shard_seeded chaos_seed;
               }
             in
             let quarantine =
@@ -658,15 +657,6 @@ let parrun_cmd =
             "Per-shard wall deadline: a stalled shard is reaped and the \
              invocation rolls back to serial execution.")
   in
-  let chaos_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"SEED"
-          ~doc:
-            "Inject seeded shard faults (kill/stall/torn/corrupt) to soak the \
-             rollback path; results must still be byte-identical.")
-  in
   let no_predict_arg =
     Arg.(
       value & flag
@@ -698,8 +688,8 @@ let parrun_cmd =
           --fail-on-quarantine, on any new quarantine entry).")
     Term.(
       const run $ targets_arg $ all_arg $ fuel_arg $ par_jobs_arg $ min_trip_arg
-      $ quarantine_arg $ repro_dir_arg $ watchdog_arg $ chaos_seed_arg
-      $ no_predict_arg $ fail_on_quarantine_arg $ json_arg $ telemetry_term)
+      $ quarantine_arg $ repro_dir_arg $ watchdog_arg $ no_predict_arg
+      $ fail_on_quarantine_arg $ json_arg $ telemetry_term)
 
 (* ---- campaign ---- *)
 
@@ -929,209 +919,6 @@ let campaign_cmd =
       const run $ targets_arg $ all_arg $ json_arg $ checkpoint_arg $ resume_arg
       $ retries_arg $ fuel_arg $ wall_arg $ watchdog_arg $ inject_arg
       $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ telemetry_term)
-
-(* ---- chaos ---- *)
-
-(* Checkpoint lines with the nondeterministic fields (wall-clock durations,
-   telemetry snapshots) stripped, for byte comparison across same-seed
-   runs. Non-object or unparseable lines pass through untouched so a codec
-   regression shows up as a diff instead of being normalized away. *)
-let normalized_checkpoint path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun line ->
-         match Util.Json.of_string line with
-         | Ok (Util.Json.Obj fields) ->
-             Util.Json.to_string
-               (Util.Json.Obj
-                  (List.filter
-                     (fun (k, _) -> k <> "wall_s" && k <> "telemetry")
-                     fields))
-         | _ -> line)
-
-(* The self-checking soak harness behind `loopapalooza chaos`: two
-   campaigns under the same seeded fault schedule, then a chaos-free
-   resume of the first checkpoint. Asserts the supervision invariants —
-   every task classified, losses exactly the planned lethal faults,
-   byte-identical normalized checkpoints, resume runs the file to
-   completion — and exits 1 when any is violated. *)
-let chaos_cmd =
-  let targets_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"TARGETS"
-          ~doc:
-            "Registered benchmark names or Looplang source files (default: the \
-             fp2000 suite).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Fault-schedule seed. Placement is a pure function of the seed and \
-             the task index, so a failing run is replayable from this one \
-             integer.")
-  in
-  let watchdog_arg =
-    Arg.(
-      value & opt float 5.0
-      & info [ "watchdog" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-task wall deadline; injected SIGSTOP stalls are reaped as \
-             task-timeouts after $(docv).")
-  in
-  let keep_checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Write the harness checkpoints to $(docv) (second pass adds .2) and \
-             keep them; default temp files, removed when the invariants hold.")
-  in
-  let run targets seed jobs watchdog checkpoint =
-    handle_errors_int (fun () ->
-        let named =
-          if targets = [] then
-            List.map
-              (fun (b : Suites.Suite.benchmark) ->
-                (b.Suites.Suite.name, b.Suites.Suite.source))
-              (Suites.Suite.by_category Suites.Suite.Fp2000)
-          else List.map (fun t -> (t, read_program t)) targets
-        in
-        let n = List.length named in
-        if n = 0 then raise (Invalid_argument "chaos needs at least one target");
-        let jobs = resolve_jobs jobs in
-        let executor =
-          if jobs > 1 then Campaign.Runner.Forked jobs else Campaign.Runner.Serial
-        in
-        let plan = Exec.Chaos.seeded seed in
-        let budgets =
-          {
-            Campaign.Runner.default_budgets with
-            Campaign.Runner.watchdog_s = Some watchdog;
-          }
-        in
-        let base =
-          match checkpoint with
-          | Some p -> p
-          | None -> Filename.temp_file "loopa-chaos-" ".jsonl"
-        in
-        let second = base ^ ".2" in
-        let log = prerr_endline in
-        Printf.printf "chaos: seed %d over %d task(s), jobs %d, watchdog %gs\n"
-          seed n jobs watchdog;
-        Printf.printf "planned: %s\n%!" (Exec.Chaos.summary plan ~n);
-        let pass ckpt =
-          Campaign.Runner.run ~budgets ~checkpoint:ckpt ~log ~executor
-            ~chaos:plan named
-        in
-        let s1 = pass base in
-        let s2 = pass second in
-        let violations = ref [] in
-        let fail fmt =
-          Printf.ksprintf (fun m -> violations := m :: !violations) fmt
-        in
-        (* 1. every task classified, both passes *)
-        List.iteri
-          (fun pi (s : Campaign.Runner.summary) ->
-            let got = List.length s.Campaign.Runner.results in
-            if got <> n then
-              fail "pass %d classified %d of %d tasks" (pi + 1) got n)
-          [ s1; s2 ];
-        (* 2. losses are exactly the planned lethal faults: nothing is lost
-           beyond what chaos injected, and every injected loss surfaces *)
-        let lost = ref 0 and timed_out = ref 0 in
-        List.iteri
-          (fun i (r : Campaign.Runner.result) ->
-            let planned = Exec.Chaos.task_fault plan i in
-            let planned_lethal =
-              match planned with Some f -> Exec.Chaos.lethal f | None -> false
-            in
-            let observed_loss =
-              match r.Campaign.Runner.status with
-              | Campaign.Runner.Errored (Campaign.Runner.Worker_lost _) ->
-                  incr lost;
-                  true
-              | Campaign.Runner.Errored (Campaign.Runner.Task_timeout _) ->
-                  incr timed_out;
-                  true
-              | _ -> false
-            in
-            if planned_lethal && not observed_loss then
-              fail "task %d (%s): planned %s but the task survived as %s" i
-                r.Campaign.Runner.target
-                (match planned with
-                | Some f -> Exec.Chaos.fault_name f
-                | None -> "?")
-                (Campaign.Runner.status_class r.Campaign.Runner.status);
-            if observed_loss && not planned_lethal then
-              fail "task %d (%s): lost with no planned fault (%s)" i
-                r.Campaign.Runner.target
-                (Campaign.Runner.status_to_string r.Campaign.Runner.status))
-          s1.Campaign.Runner.results;
-        (* 3. same seed, same bytes (modulo wall-clock/telemetry fields) *)
-        let n1 = normalized_checkpoint base and n2 = normalized_checkpoint second in
-        if n1 <> n2 then begin
-          fail "same-seed runs diverged: %d vs %d normalized checkpoint lines"
-            (List.length n1) (List.length n2);
-          List.iteri
-            (fun i l1 ->
-              match List.nth_opt n2 i with
-              | Some l2 when l1 <> l2 ->
-                  fail "  first divergence, line %d:\n    pass 1: %s\n    pass 2: %s"
-                    (i + 1) l1 l2
-              | _ -> ())
-            n1
-        end;
-        let kept = List.length n1 in
-        Printf.printf
-          "pass 1: %d completed, %d truncated, %d lost, %d timed out; \
-           checkpoint kept %d of %d line(s)\n"
-          s1.Campaign.Runner.n_completed s1.Campaign.Runner.n_truncated !lost
-          !timed_out kept n;
-        Printf.printf "determinism: %s\n%!"
-          (if n1 = n2 then "normalized checkpoints byte-identical" else "DIVERGED");
-        (* 4. the survivor checkpoint resumes to completion with chaos off:
-           only ckpt-fault-dropped lines are re-run, and they now succeed *)
-        let s3 =
-          Campaign.Runner.run ~budgets ~checkpoint:base ~resume:true ~log
-            ~executor:Campaign.Runner.Serial named
-        in
-        if List.length s3.Campaign.Runner.results <> n then
-          fail "resume classified %d of %d tasks"
-            (List.length s3.Campaign.Runner.results)
-            n;
-        if s3.Campaign.Runner.n_resumed <> kept then
-          fail "resume restored %d of %d checkpointed line(s)"
-            s3.Campaign.Runner.n_resumed kept;
-        Printf.printf "resume: re-ran %d dropped task(s), %d restored\n" (n - kept)
-          s3.Campaign.Runner.n_resumed;
-        match List.rev !violations with
-        | [] ->
-            if checkpoint = None then begin
-              (try Sys.remove base with Sys_error _ -> ());
-              try Sys.remove second with Sys_error _ -> ()
-            end;
-            Printf.printf "chaos invariants hold (seed %d)\n" seed;
-            0
-        | vs ->
-            List.iter (Printf.eprintf "violation: %s\n") vs;
-            Printf.eprintf "chaos invariants VIOLATED (seed %d) — checkpoints kept at %s\n"
-              seed base;
-            1)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Soak the executor under a seeded deterministic fault schedule — worker \
-          kills, SIGSTOP stalls, torn/corrupt/delayed result frames, checkpoint \
-          write failures — and assert the supervision invariants (exit 1 on \
-          violation).")
-    Term.(const run $ targets_arg $ seed_arg $ jobs_arg $ watchdog_arg
-          $ keep_checkpoint_arg)
 
 (* ---- repro ---- *)
 
@@ -1404,39 +1191,11 @@ let perfdiff_cmd =
     | Ok j -> j
     | Error e -> raise (Invalid_argument (Printf.sprintf "%s: %s" path e))
   in
-  let read_jsonl path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec loop acc =
-          match input_line ic with
-          | exception End_of_file -> List.rev acc
-          | "" -> loop acc
-          | line -> (
-              match Util.Json.of_string line with
-              | Ok j -> loop (j :: acc)
-              | Error _ -> loop acc (* tolerate torn/malformed lines *))
-        in
-        loop [])
-  in
   let snapshots_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"SNAPSHOTS"
-          ~doc:
-            "Bench snapshot files: OLD NEW to compare two snapshots, or a \
-             single NEW when --history is given.")
-  in
-  let history_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:
-            "JSONL history file (one snapshot per line, e.g. \
-             BENCH_history.jsonl): compare NEW against the per-series median, \
-             with the slack widened by the series' own historical noise.")
+          ~doc:"Bench snapshot files: OLD NEW, the baseline first.")
   in
   let tolerance_arg =
     Arg.(
@@ -1457,40 +1216,14 @@ let perfdiff_cmd =
       value & flag
       & info [ "json" ] ~doc:"Print the verdicts as one JSON object.")
   in
-  let run snapshots history tolerance all json =
+  let run snapshots tolerance all json =
     handle_errors_int (fun () ->
         let verdicts =
-          match (history, snapshots) with
-          | None, [ old_path; new_path ] ->
+          match snapshots with
+          | [ old_path; new_path ] ->
               Report.Perfdiff.compare_snapshots ~tolerance
                 ~old_:(read_json old_path) ~new_:(read_json new_path) ()
-          | Some hist_path, [ new_path ] ->
-              let new_ = read_json new_path in
-              let history = read_jsonl hist_path in
-              (* only compare against history rows of the same bench mode:
-                 quick snapshots drift far from full ones *)
-              let mode j =
-                Option.bind (Util.Json.member "harness" j)
-                  (Util.Json.member "quick")
-              in
-              let history =
-                match mode new_ with
-                | None -> history
-                | Some _ as m -> List.filter (fun j -> mode j = m) history
-              in
-              if history = [] then
-                raise
-                  (Invalid_argument
-                     (Printf.sprintf "%s: no comparable snapshots in history"
-                        hist_path));
-              Report.Perfdiff.compare_history ~tolerance ~history ~new_ ()
-          | None, _ ->
-              raise
-                (Invalid_argument
-                   "perfdiff needs OLD NEW (or NEW with --history FILE)")
-          | Some _, _ ->
-              raise
-                (Invalid_argument "perfdiff --history takes exactly one NEW")
+          | _ -> raise (Invalid_argument "perfdiff needs OLD NEW")
         in
         let regs = Report.Perfdiff.regressions verdicts in
         if json then
@@ -1511,12 +1244,9 @@ let perfdiff_cmd =
   Cmd.v
     (Cmd.info "perfdiff"
        ~doc:
-         "Perf-trajectory regression gate: compare two bench snapshots (or a \
-          new snapshot against the JSONL history median) with noise-aware \
-          per-class slack; exit 1 on regression.")
-    Term.(
-      const run $ snapshots_arg $ history_arg $ tolerance_arg $ all_arg
-      $ json_arg)
+         "Perf-trajectory regression gate: compare two bench snapshots with \
+          noise-aware per-class slack; exit 1 on regression.")
+    Term.(const run $ snapshots_arg $ tolerance_arg $ all_arg $ json_arg)
 
 let () =
   let doc = "Loopapalooza: a compiler-driven limit study of loop-level parallelism" in
@@ -1531,7 +1261,6 @@ let () =
             sweep_cmd;
             parrun_cmd;
             campaign_cmd;
-            chaos_cmd;
             repro_cmd;
             census_cmd;
             dump_ir_cmd;

@@ -58,7 +58,7 @@ let () =
       end)
     ms.Loopa.Classify.funcs;
   (* How each class constrains each execution model, on the live program. *)
-  let a = Loopa.Driver.analyze_module ms.Loopa.Classify.modul in
+  let a = { Loopa.Driver.ms; profile = Loopa.Driver.profile_module ms } in
   print_newline ();
   List.iter
     (fun cfg ->

@@ -10,9 +10,8 @@
 
 module Json = Util.Json
 
-(* supervision/chaos counters; pool.timeouts is the same registry entry
-   Exec.Pool bumps — interned here for heartbeat reads *)
-let c_ckpt_drops = Obs.Telemetry.counter "campaign.checkpoint_drops"
+(* the same registry entry Exec.Pool bumps, interned here for heartbeat
+   reads *)
 let c_pool_timeouts = Obs.Telemetry.counter "pool.timeouts"
 
 type error =
@@ -75,13 +74,8 @@ let default_budgets =
     watchdog_s = None;
   }
 
-(* a chaos plan containing stalls would hang a watchdog-less pool, so
-   chaos runs get a deadline even when the caller did not set one *)
-let chaos_default_watchdog_s = 5.0
-
 (* deterministic: names the configured deadline, never the measured
-   elapsed — identical across runs and across the Forked/Serial
-   boundary *)
+   elapsed, so it is identical across runs *)
 let timeout_cause deadline =
   Printf.sprintf "exceeded %gs per-task watchdog deadline" deadline
 
@@ -577,7 +571,7 @@ let traced_task ?prof_dir ~on_task_start ~budgets ~configs ~faults target src =
   (r, failure, tele)
 
 (* An error recorded without a result from the task itself: a lost or
-   timed-out worker, or a scheduled chaos fault realized in the parent. *)
+   timed-out worker. *)
 let errored_result target e =
   { target; status = Errored e; attempts = 1; clock = 0; wall_s = 0.0 }
 
@@ -626,7 +620,7 @@ let entry ~tele er efail =
 let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
     ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
     ?prof_dir ?(log = fun _ -> ()) ?heartbeat ?(executor = Serial)
-    ?(on_task_start = fun (_ : string) -> ()) ?chaos ?cache_find ?cache_store
+    ?(on_task_start = fun (_ : string) -> ()) ?cache_find ?cache_store
     (targets : (string * string) list) : summary =
   let done_before =
     match checkpoint with
@@ -657,14 +651,17 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       ignore (Sys.signal Sys.sigterm old_term);
       (* crash-safe finalization: force the checkpoint to stable storage
          before closing — campaign end, interrupt-flush, and exception
-         unwinds all funnel through here *)
+         unwinds all funnel through here. It never raises: after a failed
+         write (a full disk) the flush fails again, and the first error is
+         the one to report. *)
       Option.iter
         (fun oc ->
-          flush oc;
-          try Unix.fsync (Unix.descr_of_out_channel oc)
-          with Unix.Unix_error _ | Sys_error _ -> ())
-        oc;
-      Option.iter close_out oc)
+          (try
+             flush oc;
+             Unix.fsync (Unix.descr_of_out_channel oc)
+           with Unix.Unix_error _ | Sys_error _ -> ());
+          close_out_noerr oc)
+        oc)
     (fun () ->
       let n_resumed = ref 0 in
       let t0 = Unix.gettimeofday () in
@@ -696,50 +693,6 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                 hb_timeouts = Obs.Telemetry.value c_pool_timeouts - base_timeouts;
               }
       in
-      (* a chaos plan with Stall_self faults hangs a watchdog-less pool,
-         so chaos runs always get a deadline *)
-      let watchdog_s =
-        match budgets.watchdog_s with
-        | Some _ as w -> w
-        | None ->
-            if Option.is_some chaos then Some chaos_default_watchdog_s else None
-      in
-      (* Chaos injection point for the checkpoint stream: the k-th write
-         attempt may fail with a simulated EIO/ENOSPC. The response is
-         supervision, not death: drop the line, log it, count it — the
-         task's result stays in the summary and --resume re-runs it. *)
-      let write_attempt = ref 0 in
-      let write_line_checked oc j =
-        let k = !write_attempt in
-        incr write_attempt;
-        match Option.bind chaos (fun p -> Exec.Chaos.ckpt_fault p k) with
-        | Some f ->
-            Obs.Telemetry.incr c_ckpt_drops;
-            log
-              (Printf.sprintf
-                 "checkpoint write #%d failed (injected %s): line dropped, \
-                  resume will re-run its task"
-                 k
-                 (Exec.Chaos.ckpt_fault_name f))
-        | None -> write_line oc j
-      in
-      (* A scheduled lethal chaos fault, realized without forking: when a
-         task with a planned kill/stall/torn/corrupt runs in the parent,
-         record the error the pool would have delivered — same class,
-         byte-identical cause — so Serial and Forked runs write the same
-         checkpoint. [k] is the task's index in the fresh (non-resumed)
-         task order, the pool's task array. *)
-      let simulated_error k =
-        match Option.bind chaos (fun p -> Exec.Chaos.task_fault p k) with
-        | None -> None
-        | Some Exec.Chaos.Stall_self ->
-            let d = Option.value ~default:chaos_default_watchdog_s watchdog_s in
-            Some (Task_timeout (timeout_cause d))
-        | Some fault ->
-            Option.map
-              (fun cause -> Worker_lost cause)
-              (Exec.Chaos.simulated_lost_cause fault)
-      in
       let emit_repro target src faults failure =
         match (repro_dir, failure) with
         | Some dir, Some f -> (
@@ -753,10 +706,10 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
          every fresh (non-resumed) target — in target order, before any
          execution — so hits land in the checkpoint exactly where a
          fresh run would have written them. A hit behaves like a resumed
-         result from here on: it is never executed, and it does not
-         consume an index in the fresh task order chaos plans key on.
-         Only the find is delegated; a throwing cache is treated as a
-         miss because caching must never be able to fail a campaign. *)
+         result from here on: it is never executed and takes no index in
+         the fresh task order. Only the find is delegated; a throwing
+         cache is treated as a miss because caching must never be able to
+         fail a campaign. *)
       let cached_tbl : (string, result) Hashtbl.t = Hashtbl.create 8 in
       let n_cached = ref 0 in
       (match cache_find with
@@ -771,7 +724,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
                     Hashtbl.replace cached_tbl target r;
                     incr n_cached;
                     Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json r))
+                      (fun oc -> write_line oc (result_to_json r))
                       oc;
                     log
                       (Printf.sprintf "%-24s cached: %s" target
@@ -821,7 +774,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
           | Some e ->
               let target, src = fresh.(!next) in
               incr next;
-              Option.iter (fun oc -> write_line_checked oc e.eline) oc;
+              Option.iter (fun oc -> write_line oc e.eline) oc;
               log
                 (Printf.sprintf "%-24s %s" target
                    (status_to_string e.er.status));
@@ -842,7 +795,7 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
       let interrupt () =
         for k = !next to n - 1 do
           Option.iter
-            (fun e -> Option.iter (fun oc -> write_line_checked oc e.eline) oc)
+            (fun e -> Option.iter (fun oc -> write_line oc e.eline) oc)
             entries.(k)
         done;
         raise Interrupted
@@ -893,18 +846,15 @@ let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
           ignore
             (Exec.Pool.run ~jobs ~on_complete
                ~should_stop:(fun () -> !interrupted)
-               ?task_deadline_s:watchdog_s ?chaos ~work (Array.init n Fun.id))
+               ?task_deadline_s:budgets.watchdog_s ~work (Array.init n Fun.id))
       | Serial | Forked _ ->
           (* every task runs here, in the parent and in task order *)
           Array.iteri
             (fun k (target, src) ->
               if !interrupted then interrupt ();
               let r, failure, tele =
-                match simulated_error k with
-                | Some e -> (errored_result target e, None, None)
-                | None ->
-                    traced_task ?prof_dir ~on_task_start ~budgets ~configs
-                      ~faults:(faults_of target) target src
+                traced_task ?prof_dir ~on_task_start ~budgets ~configs
+                  ~faults:(faults_of target) target src
               in
               decide k (entry ~tele r failure))
             fresh);

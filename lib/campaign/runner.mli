@@ -70,9 +70,7 @@ type budgets = {
   retries : int;  (** extra attempts at reduced fuel after budget exhaustion *)
   watchdog_s : float option;
       (** per-task wall deadline enforced by the pool watchdog under
-          [Forked _]; [None] disables the watchdog (unless a chaos plan
-          forces a default — a stall fault without a watchdog would hang
-          the pool) *)
+          [Forked _]; [None] disables the watchdog *)
 }
 
 (** {!Loopa.Config.default_fuel}, 2^26 words, depth 10k, no wall budget,
@@ -170,25 +168,20 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     running it therefore never runs in the parent under [Forked].
 
     [on_task_start] runs in the executing process just before a task
-    begins — a test hook (e.g. to kill the worker mid-task).
+    begins: the test hook that injects worker faults. Under [Forked]
+    that is the worker, so a hook that SIGKILLs its process costs the
+    task as [worker killed by SIGKILL], one that SIGSTOPs it as the
+    watchdog's {!Task_timeout}, and one that exits as [worker exited with
+    code N].
 
     Supervision is the pool's watchdog alone. With [budgets.watchdog_s]
     set, it SIGKILLs any worker whose task outlives the deadline and
     records {!Task_timeout}.
 
-    [chaos] injects a deterministic fault schedule ({!Exec.Chaos.plan}):
-    worker-side faults (self-kill, SIGSTOP stall, torn/corrupt/delayed
-    result frames) keyed by campaign task index, and simulated
-    EIO/ENOSPC on checkpoint writes keyed by write-attempt index (a
-    dropped line is logged and re-run on resume). A chaos plan with no
-    watchdog configured forces a default deadline so stall faults cannot
-    hang the run. Under [Serial], scheduled lethal faults are
-    {e simulated} — recorded with byte-identical cause strings — so
-    checkpoints stay deterministic across executors and across same-seed
-    runs.
-
     Checkpoint durability: on completion or interrupt the checkpoint is
-    flushed and [fsync]ed before close. Only newline-terminated lines
+    flushed and [fsync]ed before close. A failed checkpoint write (a full
+    disk) ends the run: its [Sys_error] escapes [run] after the workers
+    are reaped and the checkpoint is closed. Only newline-terminated lines
     count: [resume] loading salvages a partially-written file, logging
     one summary line (lines kept / malformed skipped / torn tail dropped),
     and truncates whatever follows the last newline on disk, even when
@@ -198,8 +191,8 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     target, in target order and before any execution; a hit is
     checkpointed immediately — so an all-hits warm run writes the same
     lines in the same order as a fresh run — counted in
-    [summary.n_cached], and excluded from the fresh task order that
-    chaos plans and the pool key on (exactly like a resumed result).
+    [summary.n_cached], and excluded from the fresh task order the pool
+    keys on (exactly like a resumed result).
     [cache_store] receives every fresh [Completed]/[Truncated] result
     (never [Errored] ones — a lost worker or timeout must not poison
     the cache). Both hooks are failure-isolated: a throwing find is a
@@ -219,7 +212,6 @@ val run :
   ?heartbeat:(heartbeat -> unit) ->
   ?executor:executor ->
   ?on_task_start:(string -> unit) ->
-  ?chaos:Exec.Chaos.plan ->
   ?cache_find:(string -> result option) ->
   ?cache_store:(string -> result -> unit) ->
   (string * string) list ->

@@ -217,37 +217,15 @@ let finish_profile (ms : Classify.module_static) (profiler : Profile.t)
     truncated = (outcome.Interp.Machine.stop <> Interp.Machine.Completed);
   }
 
-let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+(* The one profiled run behind [profile_module] and [profile_result]. The
+   run counters are published on every exit path, a trap also counts in
+   [interp.traps], and an exception comes back with the machine clock at
+   the moment it escaped. *)
+let run_profiled ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
     ?static_prune ?observe_ranges ?hotspot (ms : Classify.module_static) :
-    Profile.profile =
+    (Profile.profile, exn * int) result =
   let profiler, machine =
     profiling_machine ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
-      ?static_prune ?observe_ranges ?hotspot ms
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.flush_open profiler;
-      Option.iter Prof.Hotspot.finish hotspot)
-    (fun () ->
-      let outcome =
-        Obs.Telemetry.with_span "profile.interp" (fun () ->
-            Interp.Machine.run_main machine)
-      in
-      record_run machine;
-      if outcome.Interp.Machine.stop <> Interp.Machine.Completed then
-        Obs.Telemetry.incr c_truncations;
-      finish_profile ms profiler outcome)
-
-(* As [profile_module], but every way the run can fail comes back as a
-   classified {!failure} instead of an exception — with the machine clock at
-   the moment a trap fired baked into the fingerprint, which an exception
-   cannot carry. Budget exhaustion is still a success (a truncated
-   profile), matching [profile_module]. *)
-let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
-    ?observe_ranges ?hotspot (ms : Classify.module_static) :
-    (Profile.profile, failure) result =
-  let profiler, machine =
-    profiling_machine ?fuel ?mem_limit ?max_depth ?deadline ?faults
       ?static_prune ?observe_ranges ?hotspot ms
   in
   Fun.protect
@@ -264,26 +242,53 @@ let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
       if outcome.Interp.Machine.stop <> Interp.Machine.Completed then
         Obs.Telemetry.incr c_truncations;
       Ok (finish_profile ms profiler outcome)
-  | exception Interp.Rvalue.Trap (kind, msg) ->
+  | exception e ->
       record_run machine;
-      Obs.Telemetry.incr c_traps;
-      Error (trap_failure ~clock:(Interp.Machine.clock machine) kind msg)
-  | exception Interp.Rvalue.Runtime_error msg ->
-      record_run machine;
+      (match e with
+      | Interp.Rvalue.Trap _ -> Obs.Telemetry.incr c_traps
+      | _ -> ());
+      Error (e, Interp.Machine.clock machine)
+
+let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+    ?static_prune ?observe_ranges ?hotspot (ms : Classify.module_static) :
+    Profile.profile =
+  match
+    run_profiled ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
+      ?static_prune ?observe_ranges ?hotspot ms
+  with
+  | Ok profile -> profile
+  | Error (e, _) -> raise e
+
+(* As [profile_module], but every way the run can fail comes back as a
+   classified {!failure} instead of an exception — with the machine clock at
+   the moment a trap fired baked into the fingerprint, which an exception
+   cannot carry. Budget exhaustion is still a success (a truncated
+   profile), matching [profile_module]. *)
+let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
+    ?observe_ranges ?hotspot (ms : Classify.module_static) :
+    (Profile.profile, failure) result =
+  match
+    run_profiled ?fuel ?mem_limit ?max_depth ?deadline ?faults ?static_prune
+      ?observe_ranges ?hotspot ms
+  with
+  | Ok _ as ok -> ok
+  | Error (Interp.Rvalue.Trap (kind, msg), clock) ->
+      Error (trap_failure ~clock kind msg)
+  | Error (Interp.Rvalue.Runtime_error msg, _) ->
       Error
         {
           stage = Execute;
           fingerprint = "runtime:" ^ hash8 msg;
           message = "runtime error: " ^ msg;
         }
-  | exception Stack_overflow ->
-      record_run machine;
+  | Error (Stack_overflow, _) ->
       Error
         {
           stage = Execute;
           fingerprint = "crash:Stack_overflow";
           message = "stack overflow during execution";
         }
+  | Error (e, _) -> raise e
 
 let analyze_source ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
     ?optimize ?static_prune ?observe_ranges ?hotspot (src : string) : analysis =
@@ -297,25 +302,11 @@ let analyze_source ?fuel ?mem_limit ?max_depth ?deadline ?faults ?predictors
         ?static_prune ?observe_ranges ?hotspot ms;
   }
 
-let analyze_module ?fuel ?mem_limit ?max_depth ?deadline ?faults ?optimize
-    ?static_prune ?observe_ranges ?hotspot (m : Ir.Func.modul) : analysis =
-  Obs.Telemetry.with_span "analyze" @@ fun () ->
-  let ms = prepare ?optimize m in
-  {
-    ms;
-    profile =
-      profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
-        ?static_prune ?observe_ranges ?hotspot ms;
-  }
-
 let evaluate ?knobs (a : analysis) (config : Config.t) : Evaluate.report =
   (match Config.validate config with
   | Ok _ -> ()
   | Error msg -> raise (Config.Bad_config msg));
   Evaluate.evaluate ?knobs a.profile config
-
-let evaluate_all (a : analysis) (configs : Config.t list) : Evaluate.report list =
-  List.map (evaluate a) configs
 
 (* Plain uninstrumented run (e.g. to check program output). *)
 let run_source ?(fuel = Config.default_fuel) (src : string) : Interp.Machine.outcome =

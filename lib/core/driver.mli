@@ -80,7 +80,9 @@ val prepare : ?optimize:bool -> Ir.Func.modul -> Classify.module_static
     values against the statically proven intervals. [hotspot] attaches a
     {!Prof.Hotspot} profiler: its shadow stack tees the event hooks, the
     machine's opcode counters and deterministic sampler are armed, and
-    [Prof.Hotspot.finish] runs on every exit path (including traps). *)
+    [Prof.Hotspot.finish] runs on every exit path (including traps). The
+    run's [interp.*] counters are published on every exit path too; a
+    trap raises after counting in [interp.traps]. *)
 val profile_module :
   ?fuel:int ->
   ?mem_limit:int ->
@@ -128,25 +130,9 @@ val analyze_source :
   string ->
   analysis
 
-(** As {!analyze_source}, starting from an already-built module. *)
-val analyze_module :
-  ?fuel:int ->
-  ?mem_limit:int ->
-  ?max_depth:int ->
-  ?deadline:float ->
-  ?faults:Interp.Machine.fault_plan ->
-  ?optimize:bool ->
-  ?static_prune:bool ->
-  ?observe_ranges:bool ->
-  ?hotspot:Prof.Hotspot.t ->
-  Ir.Func.modul ->
-  analysis
-
 (** Evaluate one configuration against the recorded profile.
     @raise Config.Bad_config if the configuration is invalid *)
 val evaluate : ?knobs:Evaluate.knobs -> analysis -> Config.t -> Evaluate.report
-
-val evaluate_all : analysis -> Config.t list -> Evaluate.report list
 
 (** Compile and run a program without instrumentation (checksums, demos). *)
 val run_source : ?fuel:int -> string -> Interp.Machine.outcome

@@ -42,7 +42,7 @@ val write : Unix.file_descr -> 'a -> unit
     checks it. *)
 val read : Unix.file_descr -> 'a read_result
 
-(** Deliberate frame damage, for {!Chaos} injection. *)
+(** Deliberate frame damage, for the worker faults of {!Pool.run}. *)
 type frame_fault =
   | Torn
       (** header promises the full payload, only half is written — the
@@ -53,5 +53,5 @@ type frame_fault =
 
 (** [write_faulty fault fd v] writes [v]'s frame damaged per [fault].
     After [Torn] the stream is unusable; the caller is expected to close
-    it (chaos workers [_exit] right after). *)
+    it (a faulty worker [_exit]s right after). *)
 val write_faulty : frame_fault -> Unix.file_descr -> 'a -> unit

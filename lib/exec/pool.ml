@@ -16,6 +16,8 @@ type 'b outcome =
   | Lost of string
   | Timed_out of float (* the configured per-task deadline that expired *)
 
+type fault = Kill_self | Stall_self | Torn_result | Corrupt_result
+
 (* A worker's answer to the task frame [(i, task)]. *)
 type 'b reply = Finished of int * 'b | Failed of int * string
 
@@ -50,44 +52,38 @@ let rec reap pid =
 
 (* ---- the worker loop ---- *)
 
-let worker_loop rd wr ~(work : 'a -> 'b) ~chaos =
+let worker_loop rd wr ~(work : 'a -> 'b) ~faults =
   let send (reply : 'b reply) =
     try Ipc.write wr reply
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> Unix._exit 1
   in
-  (* Chaos injection, once the task frame has arrived: the parent marked
-     the task running when it sent it, so the sabotage lands on a task it
-     knows about (and the watchdog can see a stall). Lethal faults never
-     return. Returns a completion delay. *)
-  let sabotage i =
-    match Option.bind chaos (fun plan -> Chaos.task_fault plan i) with
-    | None -> 0.0
-    | Some Chaos.Kill_self ->
+  (* A task's fault fires once its frame has arrived: the parent marked
+     the task running when it sent it, so the fault lands on a task it
+     knows about (and the watchdog can see a stall). No fault returns. *)
+  let sabotage i = function
+    | Kill_self ->
         Unix.kill (Unix.getpid ()) Sys.sigkill;
-        0.0
-    | Some Chaos.Stall_self ->
+        Unix._exit 1
+    | Stall_self ->
         Unix.kill (Unix.getpid ()) Sys.sigstop;
         (* only reachable if someone SIGCONTs us: die rather than emit
            results the parent already classified as timed out *)
         Unix._exit 1
-    | Some Chaos.Torn_result ->
-        Ipc.write_faulty Ipc.Torn wr (Failed (i, "chaos-torn"));
+    | Torn_result ->
+        Ipc.write_faulty Ipc.Torn wr (Failed (i, "torn"));
         Unix._exit 1
-    | Some Chaos.Corrupt_result ->
-        Ipc.write_faulty Ipc.Corrupt wr (Failed (i, "chaos-corrupt"));
+    | Corrupt_result ->
+        Ipc.write_faulty Ipc.Corrupt wr (Failed (i, "corrupt"));
         Unix._exit 1
-    | Some (Chaos.Delay_result d) -> d
   in
   while true do
     match Ipc.read rd with
     | Ipc.Eof -> Unix._exit 0 (* the parent closed the task pipe, or died *)
     | exception Ipc.Protocol_error _ -> Unix._exit 1
     | Ipc.Msg (i, task) -> (
-        let delay = sabotage i in
+        Option.iter (sabotage i) (List.assoc_opt i faults);
         match work task with
-        | r ->
-            if delay > 0.0 then Unix.sleepf delay;
-            send (Finished (i, r))
+        | r -> send (Finished (i, r))
         | exception e -> send (Failed (i, Printexc.to_string e)))
   done
 
@@ -105,7 +101,7 @@ type worker = {
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let fork_worker ~other_fds ~worker_init ~work ~chaos =
+let fork_worker ~other_fds ~worker_init ~work ~faults =
   (* nothing buffered may cross the fork twice *)
   flush stdout;
   flush stderr;
@@ -124,7 +120,7 @@ let fork_worker ~other_fds ~worker_init ~work ~chaos =
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (try
          Option.iter (fun f -> f ()) worker_init;
-         worker_loop p2c_r c2p_w ~work ~chaos
+         worker_loop p2c_r c2p_w ~work ~faults
        with _ -> ());
       Unix._exit 1
   | pid ->
@@ -141,7 +137,7 @@ let fork_worker ~other_fds ~worker_init ~work ~chaos =
       }
 
 let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
-    ?task_deadline_s ?chaos ~(work : 'a -> 'b) (tasks : 'a array) =
+    ?task_deadline_s ?(faults = []) ~(work : 'a -> 'b) (tasks : 'a array) =
   let n = Array.length tasks in
   let outcomes : 'b outcome option array = Array.make n None in
   if n > 0 then begin
@@ -160,7 +156,7 @@ let run ~jobs ?worker_init ?on_complete ?(should_stop = fun () -> false)
       |> List.concat_map (fun w -> if w.alive then [ w.wr; w.rd ] else [])
     in
     let spawn () =
-      fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~chaos
+      fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~faults
     in
     let deliver i o =
       if outcomes.(i) = None then begin

@@ -50,18 +50,16 @@
     most one worker per task and never sleeps. The pool decides every
     task unless [should_stop] ends the run.
 
-    {b Chaos.} [chaos] threads a deterministic {!Chaos} fault schedule
-    into the worker loop: a scheduled fault fires once the task's frame
-    has arrived, while the parent counts the task as running
-    (self-SIGKILL, self-SIGSTOP, torn/corrupt result frame, delayed
-    completion), exercising exactly the failure paths above with
-    placement that is a pure function of the seed.
-
     {b Determinism.} Results complete in any order and [on_complete]
     reports them in that order; each outcome carries its task index, and
     putting results back in task order is the caller's job (the campaign
     runner writes its JSONL checkpoint over the contiguous decided
-    prefix). *)
+    prefix).
+
+    {b Faults.} [faults] names the tasks whose worker is to fail, for
+    tests: the fault fires once the task's frame has arrived, while the
+    parent counts the task as running, and the worker never returns
+    from it. Each fault exercises one real failure path above. *)
 
 type 'b outcome =
   | Done of 'b  (** the worker's result *)
@@ -72,6 +70,23 @@ type 'b outcome =
       (** the watchdog SIGKILLed the worker after the task outlived this
           per-task deadline (the configured value, not the measured
           elapsed — outcomes must not depend on scheduling) *)
+
+(** What a worker does to itself on a task named in [run]'s [faults].
+    Each fault ends the worker. *)
+type fault =
+  | Kill_self
+      (** the worker SIGKILLs itself: the task is {!Lost} with
+          ["worker killed by SIGKILL"] *)
+  | Stall_self
+      (** the worker SIGSTOPs itself, a silent hang that only the
+          watchdog resolves: the task is {!Timed_out} *)
+  | Torn_result
+      (** the worker writes a truncated result frame and exits 1: the
+          parent's read fails, and the task is {!Lost} with
+          ["worker exited with code 1"] *)
+  | Corrupt_result
+      (** the worker writes a full-length frame whose payload fails its
+          checksum and exits 1: {!Lost} as for [Torn_result] *)
 
 (** Number of usable cores ([Domain.recommended_domain_count]); what
     [--jobs 0] resolves to. Always >= 1. *)
@@ -94,10 +109,10 @@ val detect_jobs : unit -> int
     still [None]. Every worker has been reaped when [run] returns or
     raises.
 
-    [task_deadline_s] and [chaos] are the supervision and chaos knobs
-    described above. A [chaos] plan containing
-    [Stall_self] faults needs a watchdog, or the stalled worker hangs
-    the pool by design. [jobs] is clamped to [1 .. Array.length tasks].
+    [task_deadline_s] is the watchdog described above. [faults] maps a
+    task index to the {!fault} its worker fires (default none); a
+    [Stall_self] fault needs a watchdog, or the stalled worker hangs the
+    pool. [jobs] is clamped to [1 .. Array.length tasks].
 
     The pool temporarily ignores [SIGPIPE] (restored on exit) so a dying
     worker surfaces as [EPIPE]/EOF, never as a fatal signal.
@@ -110,7 +125,7 @@ val run :
   ?on_complete:(int -> 'b outcome -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?task_deadline_s:float ->
-  ?chaos:Chaos.plan ->
+  ?faults:(int * fault) list ->
   work:('a -> 'b) ->
   'a array ->
   'b outcome option array

@@ -28,7 +28,7 @@ type knobs = {
   max_rounds : int;
   max_shard_writes : int;
   watchdog_s : float option;
-  chaos : Exec.Chaos.shard_plan option;
+  faults : ((int * int) * Exec.Pool.fault) list;
 }
 
 let default_knobs =
@@ -39,7 +39,7 @@ let default_knobs =
     max_rounds = 24;
     max_shard_writes = 1_000_000;
     watchdog_s = None;
-    chaos = None;
+    faults = [];
   }
 
 (* ---- per-loop stats / conflict records ---- *)
@@ -112,7 +112,7 @@ type t = {
   small_memo : (string * int, unit) Hashtbl.t;
       (* unknown-trip loops observed to run too few bodies to shard *)
   mutable confl : conflict_record list;
-  mutable dispatches : int;  (* pool dispatches = chaos invocation index *)
+  mutable dispatches : int;  (* pool dispatches so far: keys knobs.faults *)
   c_invocations : Obs.Telemetry.counter;
   c_sharded : Obs.Telemetry.counter;
   c_committed : Obs.Telemetry.counter;
@@ -863,30 +863,18 @@ let shard_invocation t m (st : loop_stats) (el : elig)
   let raccs =
     List.map (fun (phi, latch, k, a0) -> (phi, latch, k, ref a0)) raccs
   in
-  let deadline =
-    match t.knobs.watchdog_s with
-    | Some _ as d -> d
-    | None -> if t.knobs.chaos <> None then Some 5.0 else None
-  in
   let run_round (tasks : (int * int) array) : round_verdict =
-    let seq = t.dispatches in
+    let dispatch = t.dispatches in
     t.dispatches <- t.dispatches + 1;
     st.st_rounds <- st.st_rounds + 1;
     Obs.Telemetry.add t.c_rounds 1;
     let nshards = Array.length tasks in
     st.st_shards <- st.st_shards + nshards;
     Obs.Telemetry.add t.c_shards nshards;
-    let chaos =
-      Option.map
-        (fun plan ->
-          Exec.Chaos.explicit
-            (List.filter_map
-               (fun sh ->
-                 Option.map
-                   (fun f -> (sh, f))
-                   (Exec.Chaos.shard_fault plan ~invocation:seq ~shard:sh))
-               (List.init nshards Fun.id)))
-        t.knobs.chaos
+    let faults =
+      List.filter_map
+        (fun ((d, sh), f) -> if d = dispatch then Some (sh, f) else None)
+        t.knobs.faults
     in
     let work =
       worker_task m el entry seeds (List.rev !acc_writes)
@@ -897,7 +885,7 @@ let shard_invocation t m (st : loop_stats) (el : elig)
     let outs =
       Exec.Pool.run ~jobs:nshards
         ~worker_init:(fun () -> Machine.set_delegate m None)
-        ?task_deadline_s:deadline ?chaos ~work tasks
+        ?task_deadline_s:t.knobs.watchdog_s ~faults ~work tasks
     in
     let reports =
       Array.map

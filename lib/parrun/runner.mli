@@ -39,8 +39,11 @@ type knobs = {
   watchdog_s : float option;
       (** per-shard wall deadline, handed to [Exec.Pool] as
           [task_deadline_s]; a stalled shard times out and rolls back *)
-  chaos : Exec.Chaos.shard_plan option;
-      (** shard-scoped fault injection (tests / soak only) *)
+  faults : ((int * int) * Exec.Pool.fault) list;
+      (** shard faults for tests, default none: [((d, sh), f)] has shard
+          [sh] of the runner's [d]th pool dispatch (counted from 0 over
+          every round of every invocation) fire [f]. A [Stall_self] needs
+          [watchdog_s]. *)
 }
 
 val default_knobs : knobs

@@ -12,9 +12,7 @@
 
    Thresholds are per-class relative slacks scaled by a caller tolerance —
    wall-clock series get the widest slack because CI wall time is the
-   noisiest thing we measure — and, in history mode, widened further to
-   max(relative, 4 robust sigmas) of the series' history so a naturally
-   jittery series earns a proportionally wider band. *)
+   noisiest thing we measure. *)
 
 module Json = Util.Json
 
@@ -79,14 +77,14 @@ let noise_floor = function Lower_better -> 0.05 | Higher_better -> 1e-9
 type verdict = {
   v_path : string;
   v_dir : direction;
-  v_base : float;  (** old value, or history median *)
+  v_base : float;  (** old value *)
   v_new : float;
   v_slack : float;  (** allowed relative worsening, e.g. 0.5 = +50% *)
   v_worse_by : float;  (** relative worsening; negative = improved *)
   v_regressed : bool;
 }
 
-let judge ~tolerance ~extra_abs base_v s =
+let judge ~tolerance base_v s =
   let slack = base_slack s.dir *. tolerance in
   let floor = noise_floor s.dir in
   let worse_abs =
@@ -98,7 +96,7 @@ let judge ~tolerance ~extra_abs base_v s =
     if abs_float base_v < 1e-12 then 0.0 else worse_abs /. abs_float base_v
   in
   let below_floor = abs_float base_v < floor && abs_float s.value < floor in
-  let allowed_abs = max (slack *. abs_float base_v) extra_abs in
+  let allowed_abs = slack *. abs_float base_v in
   {
     v_path = s.path;
     v_dir = s.dir;
@@ -115,33 +113,8 @@ let compare_snapshots ?(tolerance = 1.0) ~old_ ~new_ () =
   List.filter_map
     (fun s ->
       match Hashtbl.find_opt old_tbl s.path with
-      | Some base_v -> Some (judge ~tolerance ~extra_abs:0.0 base_v s)
+      | Some base_v -> Some (judge ~tolerance base_v s)
       | None -> None)
-    (flatten new_)
-
-let compare_history ?(tolerance = 1.0) ~history ~new_ () =
-  let by_path = Hashtbl.create 64 in
-  List.iter
-    (fun snap ->
-      List.iter
-        (fun s ->
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt by_path s.path)
-          in
-          Hashtbl.replace by_path s.path (s.value :: prev))
-        (flatten snap))
-    history;
-  List.filter_map
-    (fun s ->
-      match Hashtbl.find_opt by_path s.path with
-      | None | Some [] -> None
-      | Some values ->
-          let med = Stats.median values in
-          let mad =
-            Stats.median (List.map (fun v -> abs_float (v -. med)) values)
-          in
-          let extra_abs = 4.0 *. 1.4826 *. mad in
-          Some (judge ~tolerance ~extra_abs med s))
     (flatten new_)
 
 let regressions verdicts = List.filter (fun v -> v.v_regressed) verdicts

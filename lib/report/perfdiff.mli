@@ -15,7 +15,7 @@ val direction_to_string : direction -> string
 type verdict = {
   v_path : string;  (** dotted path, list indices as numbers *)
   v_dir : direction;
-  v_base : float;  (** old value, or the history median *)
+  v_base : float;  (** old value *)
   v_new : float;
   v_slack : float;  (** allowed relative worsening (0.5 = +50%) *)
   v_worse_by : float;  (** relative worsening; negative = improved *)
@@ -28,16 +28,6 @@ type verdict = {
     and fails a 2x slowdown. *)
 val compare_snapshots :
   ?tolerance:float -> old_:Util.Json.t -> new_:Util.Json.t -> unit -> verdict list
-
-(** Compare [new_] against the per-series median of [history] snapshots,
-    with the slack widened to at least 4 robust sigmas (1.4826·MAD) of the
-    series' own history. Series without history are skipped. *)
-val compare_history :
-  ?tolerance:float ->
-  history:Util.Json.t list ->
-  new_:Util.Json.t ->
-  unit ->
-  verdict list
 
 val regressions : verdict list -> verdict list
 

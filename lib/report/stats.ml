@@ -15,10 +15,3 @@ let minimum = function [] -> 0.0 | x :: xs -> List.fold_left Float.min x xs
 
 let maximum = function [] -> 0.0 | x :: xs -> List.fold_left Float.max x xs
 
-let median xs =
-  match List.sort Float.compare xs with
-  | [] -> 0.0
-  | sorted ->
-      let n = List.length sorted in
-      if n mod 2 = 1 then List.nth sorted (n / 2)
-      else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.0

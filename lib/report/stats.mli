@@ -10,4 +10,3 @@ val minimum : float list -> float
 
 val maximum : float list -> float
 
-val median : float list -> float

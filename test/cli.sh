@@ -7,8 +7,9 @@
 #     .samples.folded and prints the golden/profile_<program>.opcodes block
 #     byte for byte: every call and loop event clock, every sample's
 #     placement and the opcode partition of the interpreter clock;
-#   - an unusable `--cache DIR` is a system error (exit 2), not an internal
-#     one.
+#   - an unusable `--cache DIR`, and a checkpoint on a full disk
+#     (/dev/full, where it exists), are system errors (exit 2), not
+#     internal ones.
 set -euo pipefail
 exe=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 tmp=cli-tmp
@@ -52,5 +53,17 @@ if [ "$status" -ne 2 ] \
   echo "cli: analyze --cache under a file: exit $status, want 2 and a system error" >&2
   cat "$tmp/err" >&2
   exit 1
+fi
+# every write to /dev/full fails with ENOSPC
+if [ -e /dev/full ]; then
+  status=0
+  "$exe" campaign rspeed01 --checkpoint /dev/full > /dev/null 2> "$tmp/err" \
+    || status=$?
+  if [ "$status" -ne 2 ] \
+    || ! grep -qx "system error: No space left on device" "$tmp/err"; then
+    echo "cli: campaign --checkpoint /dev/full: exit $status, want 2 and a system error" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  fi
 fi
 rm -rf "$tmp"

@@ -178,7 +178,7 @@ let test_ipc_shard_report_at_cap () =
               Alcotest.(check bool) "equal" true (r = report)
           | Ipc.Eof -> Alcotest.fail "unexpected EOF"))
 
-(* ---- IPC fault injection (the chaos writer) ---- *)
+(* ---- IPC fault injection (the faulty writer) ---- *)
 
 let test_ipc_write_faulty_torn () =
   with_pipe (fun r w ->
@@ -420,8 +420,6 @@ let check_no_children what =
 let test_detect_jobs_positive () =
   Alcotest.(check bool) "at least one core" true (Pool.detect_jobs () >= 1)
 
-module Chaos = Exec.Chaos
-
 (* ---- pool: supervision ---- *)
 
 let test_pool_watchdog_reaps_stalled_task () =
@@ -452,12 +450,13 @@ let test_pool_watchdog_reaps_stalled_task () =
 let test_pool_watchdog_reaps_sigstopped_worker () =
   (* the hard case: a SIGSTOP'd worker makes no syscalls and holds its
      pipes open — only the parent-side SIGKILL can resolve it *)
-  let chaos = Chaos.explicit [ (2, Chaos.Stall_self) ] in
   let work payload = J.Int (task_index payload) in
   let t0 = Unix.gettimeofday () in
   let outcomes, _, timeouts =
     with_pool_counters (fun () ->
-        Pool.run ~jobs:2 ~task_deadline_s:0.5 ~chaos ~work
+        Pool.run ~jobs:2 ~task_deadline_s:0.5
+          ~faults:[ (2, Pool.Stall_self) ]
+          ~work
           (Array.init 5 (fun i -> J.Int i)))
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -548,27 +547,24 @@ let test_pool_reaps_every_worker () =
   ignore (Pool.run ~jobs:2 ~task_deadline_s:0.3 ~work:stall tasks);
   check_no_children "watchdog kill";
   ignore
-    (Pool.run ~jobs:2
-       ~chaos:(Chaos.explicit [ (1, Chaos.Kill_self) ])
-       ~work:(fun p -> p) tasks);
-  check_no_children "chaos Kill_self"
+    (Pool.run ~jobs:2 ~faults:[ (1, Pool.Kill_self) ] ~work:(fun p -> p) tasks);
+  check_no_children "Kill_self fault"
 
-(* ---- pool: chaos faults surface as the right outcomes ---- *)
+(* ---- pool: worker faults surface as the right outcomes ---- *)
 
-let test_pool_chaos_lethal_faults_cost_their_task () =
-  let chaos =
-    Chaos.explicit
-      [ (1, Chaos.Kill_self); (3, Chaos.Torn_result); (4, Chaos.Corrupt_result) ]
+let test_pool_lethal_faults_cost_their_task () =
+  let faults =
+    [ (1, Pool.Kill_self); (3, Pool.Torn_result); (4, Pool.Corrupt_result) ]
   in
   let work payload = J.Int (task_index payload * 2) in
-  let outcomes = Pool.run ~jobs:2 ~chaos ~work (Array.init 6 (fun i -> J.Int i)) in
+  let outcomes = Pool.run ~jobs:2 ~faults ~work (Array.init 6 (fun i -> J.Int i)) in
   let lethal = [ 1; 3; 4 ] in
   Array.iteri
     (fun i o ->
       match o with
       | Some (Pool.Lost cause) ->
           Alcotest.(check bool)
-            (Printf.sprintf "task %d planned lethal" i)
+            (Printf.sprintf "task %d has a fault" i)
             true (List.mem i lethal);
           (* kill reaps as a signal; torn/corrupt workers _exit 1 *)
           let expected = if i = 1 then "SIGKILL" else "exited with code 1" in
@@ -577,25 +573,14 @@ let test_pool_chaos_lethal_faults_cost_their_task () =
             true (contains cause expected)
       | Some (Pool.Done r) ->
           Alcotest.(check bool)
-            (Printf.sprintf "task %d planned survivor" i)
+            (Printf.sprintf "task %d has no fault" i)
             true
             (not (List.mem i lethal));
           Alcotest.check json "survivor result" (J.Int (i * 2)) r
-      | Some (Pool.Timed_out _) -> Alcotest.fail "no stall was planned"
+      | Some (Pool.Timed_out _) -> Alcotest.fail "no task stalls"
       | None -> Alcotest.fail "undecided task")
     outcomes;
   Alcotest.(check int) "three losses" 3 (count_lost outcomes)
-
-let test_pool_chaos_delay_is_lossless () =
-  let chaos = Chaos.explicit [ (0, Chaos.Delay_result 0.1) ] in
-  let work payload = J.Int (task_index payload) in
-  let outcomes = Pool.run ~jobs:2 ~chaos ~work (Array.init 4 (fun i -> J.Int i)) in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Some (Pool.Done r) -> Alcotest.check json "result" (J.Int i) r
-      | _ -> Alcotest.fail "delay must not lose the task")
-    outcomes
 
 let () =
   Alcotest.run "exec"
@@ -648,9 +633,7 @@ let () =
             "a poison streak costs one task each, without sleeping" `Quick
             test_pool_poison_streak_never_sleeps;
           Alcotest.test_case "chaos lethal faults cost one task each" `Quick
-            test_pool_chaos_lethal_faults_cost_their_task;
-          Alcotest.test_case "chaos delay is lossless" `Quick
-            test_pool_chaos_delay_is_lossless;
+            test_pool_lethal_faults_cost_their_task;
           Alcotest.test_case "no worker outlives the run" `Quick
             test_pool_reaps_every_worker;
         ] );

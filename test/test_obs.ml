@@ -158,6 +158,35 @@ let test_span_closure_under_faults () =
   Alcotest.(check int) "truncation counted" 1 (List.assoc "interp.truncations" (T.counters ()));
   teardown ()
 
+(* A program trap raises out of [analyze_source] (the path `analyze`
+   takes) only after the run is counted, as [profile_result] counts it: the
+   division by zero fires at clock 103. *)
+let trap_src =
+  {|
+fn main() -> int {
+  var s: int = 1;
+  var z: int = 7;
+  for (var i: int = 0; i < 100; i = i + 1) {
+    s = (s * 7 + i) % 1000;
+    if (i == 7) { s = s / (i - z); }
+  }
+  print_int(s);
+  return 0;
+}
+|}
+
+let test_trap_run_counted () =
+  teardown ();
+  T.enable ();
+  (match Loopa.Driver.analyze_source trap_src with
+  | _ -> Alcotest.fail "expected a division-by-zero trap"
+  | exception Interp.Rvalue.Trap (Interp.Rvalue.Div_by_zero, _) -> ());
+  let v name = List.assoc name (T.counters ()) in
+  Alcotest.(check int) "runs" 1 (v "interp.runs");
+  Alcotest.(check int) "instructions" 103 (v "interp.instructions");
+  Alcotest.(check int) "traps" 1 (v "interp.traps");
+  teardown ()
+
 (* ---- exporters ---- *)
 
 let test_chrome_trace_shape () =
@@ -462,6 +491,8 @@ let () =
             test_with_span_closes_on_raise;
           Alcotest.test_case "closure under injected faults" `Quick
             test_span_closure_under_faults;
+          Alcotest.test_case "a trapped analyze run is counted" `Quick
+            test_trap_run_counted;
         ] );
       ( "export",
         [

@@ -171,19 +171,21 @@ fn main() -> int {
 }
 |}
 
-let aggressive ?chaos ?(shards = 2) () =
+let aggressive ?(faults = []) ?watchdog_s ?(shards = 2) () =
   {
     Runner.default_knobs with
     Runner.jobs = shards;
     min_trip = 1;
     round_chunk = 8;
-    chaos;
+    watchdog_s;
+    faults;
   }
 
-let run_guard ?chaos ?shards ?quarantine ?repro_dir ~target src =
+let run_guard ?faults ?watchdog_s ?shards ?quarantine ?repro_dir ~target src =
   match
-    Guard.run ~knobs:(aggressive ?chaos ?shards ()) ?quarantine ?repro_dir
-      ~predict:false ~target src
+    Guard.run
+      ~knobs:(aggressive ?faults ?watchdog_s ?shards ())
+      ?quarantine ?repro_dir ~predict:false ~target src
   with
   | Error f -> Alcotest.fail ("guard failed: " ^ f.Loopa.Driver.message)
   | Ok r -> r
@@ -436,29 +438,50 @@ let test_forced_unsound_verdict_quarantines () =
     again.Machine.output;
   Alcotest.(check bool) "no new conflicts" true (Runner.conflicts runner2 = [])
 
-(* ---- shard-fault chaos: every fault converges to the serial answer ---- *)
+(* ---- shard faults: every fault converges to the serial answer ---- *)
 
-let test_shard_faults_converge () =
-  let chaos =
-    Exec.Chaos.shard_explicit
-      [
-        ((0, 0), Exec.Chaos.Kill_self);
-        ((1, 1), Exec.Chaos.Corrupt_result);
-        ((2, 0), Exec.Chaos.Torn_result);
-      ]
-  in
-  let r = run_guard ~chaos ~target:"chaos_shards" map_reduce_src in
+(* A lost, stalled, torn or corrupt shard rolls its invocation back: the
+   run stays byte-identical, and infrastructure faults indict the pool,
+   not the verdict, so nothing is quarantined. *)
+let check_faults_roll_back (r : Guard.result) ~failures =
   Alcotest.(check bool) "byte-identical under faults" true r.Guard.identical;
   let stats = Runner.loop_stats r.Guard.runner in
-  Alcotest.(check bool) "faults observed" true
-    (total (fun st -> st.Runner.st_shard_failures) stats > 0);
+  Alcotest.(check int) "every fault observed" failures
+    (total (fun st -> st.Runner.st_shard_failures) stats);
   Alcotest.(check bool) "rollbacks happened" true
     (total (fun st -> st.Runner.st_rollbacks) stats > 0);
-  (* infrastructure faults indict the pool, not the verdict *)
   Alcotest.(check int) "no conflicts" 0
     (total (fun st -> st.Runner.st_conflicts) stats);
   Alcotest.(check int) "nothing quarantined" 0
     (Quarantine.size (Runner.quarantine r.Guard.runner))
+
+(* Each loop of [map_reduce_src] is one dispatch, so two runs place all
+   four faults: a Stall_self ends at the watchdog. *)
+let test_shard_faults_converge () =
+  List.iter
+    (fun faults ->
+      let r =
+        run_guard ~faults ~watchdog_s:0.5 ~target:"shard_faults"
+          map_reduce_src
+      in
+      check_faults_roll_back r ~failures:2)
+    [
+      [ ((0, 0), Exec.Pool.Kill_self); ((1, 1), Exec.Pool.Corrupt_result) ];
+      [ ((0, 1), Exec.Pool.Torn_result); ((1, 0), Exec.Pool.Stall_self) ];
+    ]
+
+(* Faults are keyed by pool dispatch, and one invocation of an unknown-trip
+   loop dispatches a round at a time: a fault in its second round must
+   roll back the rounds already absorbed as well. *)
+let test_later_round_fault_rolls_back () =
+  let r =
+    run_guard
+      ~faults:[ ((1, 1), Exec.Pool.Kill_self) ]
+      ~target:"late_fault" (cross_round_src 100)
+  in
+  check_faults_roll_back r ~failures:1;
+  Alcotest.(check int) "one sharded invocation" 1
+    (total (fun st -> st.Runner.st_sharded) (Runner.loop_stats r.Guard.runner))
 
 let () =
   Alcotest.run "parrun"
@@ -508,5 +531,7 @@ let () =
         [
           Alcotest.test_case "shard faults converge to serial" `Quick
             test_shard_faults_converge;
+          Alcotest.test_case "a later round's shard fault rolls back" `Quick
+            test_later_round_fault_rolls_back;
         ] );
     ]
